@@ -369,56 +369,18 @@ let run_scale () =
           ("buffers", J.Int buffers);
           ("nodes", J.Int nodes);
           ("states", J.Int (delta "space.states"));
-          (* the `Auto policy: flat tables above ~4M entries go sparse *)
-          ("sparse_state_table", J.Bool (buffers * nodes > 1 lsl 22));
           ("verdict", J.String (verdict_name verdict));
           ("runs", J.Int repeats);
           ("ns_per_run", J.Float best_ns);
           ("first_run_ns", J.Float first_ns);
           ("peak_rss_kb", J.Int peak_kb);
           ("major_words_allocated", J.Float (gc1.Gc.major_words -. gc0.Gc.major_words));
-          ("closure_words_hybrid", J.Int (delta "bwg.closure.words"));
+          ("closure_words", J.Int (delta "bwg.closure.words"));
           ("closure_dense_rows", J.Int (delta "bwg.closure.dense-rows"));
         ] )
   in
   let rows = List.map instance_row (List.map resolve_instance scale_instances) in
-  (* hybrid vs forced-dense closures on the sparsest instance: same state
-     space, two BWG builds, closure storage and peak RSS side by side *)
   let _, entry, net, _ = resolve_instance ("dragonfly:10x4x41", "dragonfly-minimal", 1) in
-  let space = State_space.build net entry.Registry.algo in
-  State_space.materialize_move_graphs space;
-  let build_with dense =
-    Gc.compact ();
-    ignore (Obs.reset_peak_rss ());
-    Obs.enable ();
-    let before = Obs.counters () in
-    let t0 = Mono.now () in
-    let bwg = Bwg.build ~dense_closures:dense space in
-    let ns = (Mono.now () -. t0) *. 1e9 in
-    let after = Obs.counters () in
-    Obs.disable ();
-    let words = counter_of "bwg.closure.words" after - counter_of "bwg.closure.words" before in
-    let peak_kb = Option.value (Obs.peak_rss_kb ()) ~default:0 in
-    (bwg, words, peak_kb, ns)
-  in
-  let bwg_h, words_h, rss_h, ns_h = build_with false in
-  let bwg_d, words_d, rss_d, ns_d = build_with true in
-  let identical = Bwg.is_acyclic bwg_h = Bwg.is_acyclic bwg_d in
-  let ratio = float_of_int words_h /. float_of_int (max 1 words_d) in
-  Printf.printf
-    "hybrid vs dense closures (dragonfly:10x4x41): %d vs %d words (%.3fx), \
-     peak %d vs %d MB\n%!"
-    words_h words_d ratio (rss_h / 1024) (rss_d / 1024);
-  if ratio > 0.5 then begin
-    Printf.eprintf
-      "FAIL: hybrid closure storage %.3fx of forced-dense exceeds the 0.5x budget\n"
-      ratio;
-    exit 1
-  end;
-  if not identical then begin
-    Printf.eprintf "FAIL: hybrid and dense closures disagree on acyclicity\n";
-    exit 1
-  end;
   (* --domains sweep on the same instance: verdicts must match bit for bit *)
   let sweep =
     List.map
@@ -446,20 +408,6 @@ let run_scale () =
         ("suite", J.String "scale");
         ("unit", J.String "ns/run");
         ("instances", J.Obj rows);
-        ( "hybrid_vs_dense",
-          J.Obj
-            [
-              ("instance", J.String "dragonfly:10x4x41");
-              ("closure_words_hybrid", J.Int words_h);
-              ("closure_words_dense", J.Int words_d);
-              ("ratio", J.Float ratio);
-              ("ratio_budget", J.Float 0.5);
-              ("peak_rss_kb_hybrid", J.Int rss_h);
-              ("peak_rss_kb_dense", J.Int rss_d);
-              ("bwg_build_ns_hybrid", J.Float ns_h);
-              ("bwg_build_ns_dense", J.Float ns_d);
-              ("verdicts_identical", J.Bool identical);
-            ] );
         ( "domains_sweep",
           J.Obj
             [

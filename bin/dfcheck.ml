@@ -107,28 +107,35 @@ let print_text_metrics ~metrics =
 let run_check_report ~name ~replay ~certificate ~json ~domains ~trace ~metrics
     net algo =
   obs_setup ~trace ~metrics;
-  let report = Checker.check ~domains net algo in
-  if json then
-    print_endline
-      (Dfr_util.Json.to_string_pretty
-         (Report_json.of_outcome
-            ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
-            net algo report))
-  else if certificate then Certificate.print net algo report
-  else begin
-    Format.printf "%s on %s:@.  %a@." name (Net.name net)
-      (Checker.pp_verdict net) report.Checker.verdict;
-    print_text_metrics ~metrics
-  end;
-  (match report.Checker.verdict with
-  | Checker.Deadlock_possible failure when replay ->
-    (match Dfr_scenario.Scenario.replay net algo failure with
-    | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
-    | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
-    | None -> Format.printf "  replay: nothing to replay for this failure@.")
-  | _ -> ());
-  obs_teardown ~trace;
-  Report_json.exit_code report.Checker.verdict
+  match Checker.check_result ~domains net algo with
+  | Error msg ->
+    (* the algorithm rejects the network (e.g. hop-class on a mesh whose
+       diameter needs more buffer classes): a usage error, not a crash *)
+    obs_teardown ~trace;
+    Printf.eprintf "dfcheck: %s on %s: %s\n" name (Net.name net) msg;
+    2
+  | Ok report -> (
+    if json then
+      print_endline
+        (Dfr_util.Json.to_string_pretty
+           (Report_json.of_outcome
+              ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
+              net algo report))
+    else if certificate then Certificate.print net algo report
+    else begin
+      Format.printf "%s on %s:@.  %a@." name (Net.name net)
+        (Checker.pp_verdict net) report.Checker.verdict;
+      print_text_metrics ~metrics
+    end;
+    (match report.Checker.verdict with
+    | Checker.Deadlock_possible failure when replay ->
+      (match Dfr_scenario.Scenario.replay net algo failure with
+      | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
+      | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
+      | None -> Format.printf "  replay: nothing to replay for this failure@.")
+    | _ -> ());
+    obs_teardown ~trace;
+    Report_json.exit_code report.Checker.verdict)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)

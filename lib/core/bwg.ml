@@ -63,7 +63,7 @@ let witnesses t q1 q2 =
    order); the serial build passes its edge recorder directly, the domain
    fan-out accumulates per-destination lists and replays them in
    destination order so both paths see the same sequence. *)
-let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
+let edges_for_dest space ~wait_sets ~wormhole dest ~emit =
   if not wormhole then
     List.iter
       (fun q1 ->
@@ -135,8 +135,7 @@ let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
       end
     in
     let closures =
-      Dfr_util.Bitset.Hybrid.Rows.create ~force_dense:dense_closures
-        ~rows:count ~len:n ()
+      Dfr_util.Bitset.Hybrid.Rows.create ~rows:count ~len:n ()
     in
     (* merged.(c') = c marks that c' is already unioned into c's row, so a
        component with many edges into the same successor pays one sweep *)
@@ -220,12 +219,12 @@ let make_recorder ~witness_cap ~graph ~witnesses ~num_edges =
   in
   add_edge
 
-let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
+let dest_edges ?wait_sets space ~dest ~emit =
   let wait_sets =
     match wait_sets with Some w -> w | None -> default_wait_sets space
   in
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
-  edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit
+  edges_for_dest space ~wait_sets ~wormhole dest ~emit
 
 let replay ?wait_sets ?(witness_cap = 32) space f =
   let wait_sets =
@@ -239,7 +238,7 @@ let replay ?wait_sets ?(witness_cap = 32) space f =
   { space; graph; witnesses; wait_sets; witness_cap }
 
 let build ?wait_sets ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
-    ?(dense_closures = false) space =
+    space =
   Obs.span "bwg.build" @@ fun () ->
   let wait_sets =
     match wait_sets with
@@ -263,7 +262,7 @@ let build ?wait_sets ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
     (* serial: stream edges straight into the recorder, no staging lists *)
     for d = 0 to num_nodes - 1 do
       Obs.span "bwg.closure" (fun () ->
-          edges_for_dest space ~wait_sets ~wormhole ~dense_closures d
+          edges_for_dest space ~wait_sets ~wormhole d
             ~emit:add_edge)
     done
   else begin
@@ -290,7 +289,7 @@ let build ?wait_sets ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
           else
             Obs.span "bwg.closure" (fun () ->
                 let acc = ref [] in
-                edges_for_dest space ~wait_sets ~wormhole ~dense_closures d
+                edges_for_dest space ~wait_sets ~wormhole d
                   ~emit:(fun q w wit -> acc := (q, w, wit) :: !acc);
                 results.(d) <- !acc)
         done);

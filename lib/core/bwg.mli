@@ -30,7 +30,6 @@ val build :
   ?witness_cap:int ->
   ?indirect:bool ->
   ?domains:int ->
-  ?dense_closures:bool ->
   State_space.t ->
   t
 (** [witness_cap] bounds the witnesses retained per edge (default 32).
@@ -44,15 +43,14 @@ val build :
     wormhole networks — a packet spans a chain of buffers — and exists
     purely for the ablation experiment showing the closure is what catches
     Duato's incoherent example.
-    [dense_closures] (default [false]) forces every per-destination
-    reachability closure row into the dense bitmap representation instead
-    of the hybrid sparse/dense one.  The resulting graph is identical
-    (tested); the flag exists so the equivalence tests and the memory
-    benches can compare the two allocation regimes. *)
+    The per-destination reachability closures are held in
+    {!Dfr_util.Bitset.Hybrid.Rows}: each row starts as a sorted sparse
+    list and turns into a bitmap only once it is dense enough, so a
+    destination's closures cost O(closure sizes) rather than
+    O(components * buffers) words. *)
 
 val dest_edges :
   ?wait_sets:wait_sets ->
-  ?dense_closures:bool ->
   State_space.t ->
   dest:int ->
   emit:(int -> int -> witness -> unit) ->

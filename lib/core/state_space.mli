@@ -14,25 +14,20 @@ open Dfr_routing
 
 type t
 
-val build :
-  ?storage:[ `Auto | `Dense | `Sparse ] -> ?domains:int -> Net.t -> Algo.t -> t
+val build : ?domains:int -> Net.t -> Algo.t -> t
 (** Raises [Invalid_argument] when [Algo.validate] rejects the pair.
 
-    [storage] picks the state-table layout: [`Dense] keeps flat
-    [buffers * nodes] arrays, [`Sparse] stores per-destination slices of
-    the actually-reachable states, and [`Auto] (the default) switches to
-    sparse once the flat table would exceed ~4M entries.  The two layouts
-    are observationally identical (tested); sparse is what lets
-    10^4-10^5-buffer instances fit in memory.
+    The table is stored per destination: one slice of the actually
+    reachable buffers (ascending) with their routing relation in parallel
+    arrays, so memory is O(states) rather than O(buffers * nodes) — what
+    lets 10^4-10^5-buffer instances fit in memory.  Lookups by (buffer,
+    destination) binary-search the destination's slice.
 
     [domains] fans both serial phases of the build out over the shared
     {!Dfr_util.Domain_pool}: the [Algo.validate] sweep partitions by
     buffer, the reachability BFS by destination (a destination's states
     never depend on another's).  The resulting table — and the error
     message on a rejected pair — is identical to the serial build's. *)
-
-val is_sparse : t -> bool
-(** Whether the sparse per-destination layout is in use. *)
 
 val net : t -> Net.t
 val algo : t -> Algo.t
@@ -101,8 +96,7 @@ type dest_view = {
 
 val dest_view : t -> dest:int -> dest_view
 (** One destination's reachable states and routing relation as parallel
-    arrays.  On the sparse layout this aliases the internal slice (do not
-    mutate); on the dense layout it is extracted fresh per call. *)
+    arrays.  This aliases the internal slice: do not mutate. *)
 
 val with_updated_dests : t -> Algo.t -> dests:int list -> t
 (** A state space for the new algorithm that rebuilds only the slices (and

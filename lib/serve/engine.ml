@@ -354,13 +354,17 @@ let dispatch t ~id (req : Protocol.request) =
       match topo_result with
       | Error msg -> ready (Protocol.error_response ~id ~kind:"bad_request" msg)
       | Ok topo -> (
-        match Registry.network_for e topo with
+        let key = algo ^ "@" ^ Option.value topology ~default:"" in
+        (* the digest reprints the routing relation, so an algorithm that
+           rejects the network (hop-class on a mesh too wide for its
+           classes) raises here, before any check is queued *)
+        match
+          let net = Registry.network_for e topo in
+          (net, digest_of_named t ~key net e.Registry.algo)
+        with
         | exception Invalid_argument msg ->
           ready (Protocol.error_response ~id ~kind:"bad_request" msg)
-        | net ->
-          let key = algo ^ "@" ^ Option.value topology ~default:"" in
-          let digest = digest_of_named t ~key net e.Registry.algo in
-          submit_check t ~id ~digest net e.Registry.algo)))
+        | net, digest -> submit_check t ~id ~digest net e.Registry.algo)))
   | Protocol.Check_delta { base; spec } -> ready (check_delta t ~id ~base ~spec)
   | Protocol.Scenario { spec; algo; topology; plan; sweep } ->
     ready (scenario t ~id ~spec ~algo ~topology ~plan ~sweep)

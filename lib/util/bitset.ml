@@ -205,22 +205,17 @@ module Hybrid = struct
       rows : int;
       len : int;
       nw : int; (* words of a dense row; also the promotion threshold *)
-      force_dense : bool;
       data : row array;
     }
 
-    let create ?(force_dense = false) ~rows ~len () =
+    let create ~rows ~len () =
       if rows < 0 || len < 0 then invalid_arg "Bitset.Hybrid.Rows.create";
       let nw = (len + bits - 1) / bits in
-      let fresh _ =
-        if force_dense then Dense_row (Array.make nw 0)
-        else Sparse { elts = [||]; card = 0 }
-      in
-      { rows; len; nw; force_dense; data = Array.init rows fresh }
+      let fresh _ = Sparse { elts = [||]; card = 0 } in
+      { rows; len; nw; data = Array.init rows fresh }
 
     let rows t = t.rows
     let length t = t.len
-    let is_forced_dense t = t.force_dense
 
     let check t r i =
       if r < 0 || r >= t.rows || i < 0 || i >= t.len then
@@ -393,7 +388,6 @@ module Hybrid = struct
         Rows.rows = 2;
         len = into.Rows.len;
         nw = into.Rows.nw;
-        force_dense = false;
         data = [| into.Rows.data.(0); src.Rows.data.(0) |];
       }
     in

@@ -106,14 +106,11 @@ module Hybrid : sig
   module Rows : sig
     type t
 
-    val create : ?force_dense:bool -> rows:int -> len:int -> unit -> t
-    (** All rows empty.  [force_dense] starts every row dense — the escape
-        hatch the equivalence tests and the memory benches compare
-        against. *)
+    val create : rows:int -> len:int -> unit -> t
+    (** All rows empty, each starting in the sorted sparse form. *)
 
     val rows : t -> int
     val length : t -> int
-    val is_forced_dense : t -> bool
 
     val add : t -> int -> int -> unit
     (** [add t r i] inserts element [i] into row [r]. *)
@@ -135,8 +132,8 @@ module Hybrid : sig
     (** How many rows have promoted to the dense representation. *)
 
     val storage_words : t -> int
-    (** Total words currently backing all rows — the number the scale
-        benches compare between hybrid and forced-dense builds. *)
+    (** Total words currently backing all rows, sparse and dense — the
+        BWG builder reports it as the [bwg.closure.words] counter. *)
   end
 
   type t

@@ -40,6 +40,9 @@ expect 2 check
 expect 2 no-such-subcommand
 expect 2 check -a efa --no-such-flag
 expect 2 spec check /dev/null
+# an algorithm that rejects the topology it is given: hop-class's seven
+# buffer classes do not exceed the 5x5 mesh's diameter of 8
+expect 2 check -a hop-class -t mesh:5x5
 
 # hotspot nodes are range-checked before injection: a negative or
 # too-large node is a usage error, never a wild array index

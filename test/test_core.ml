@@ -626,54 +626,69 @@ let test_closure_matches_for_saf () =
   check Alcotest.bool "same graph" true
     (Dfr_graph.Digraph.equal (Bwg.graph a) (Bwg.graph b))
 
-let test_sparse_state_table_matches_dense () =
-  (* the sparse per-destination state table only kicks in automatically
-     above ~4M (buffer, dest) pairs, so force it on small networks and
-     demand the identical BWG and acyclicity as the dense layout *)
+(* An independent oracle for the state table: a naive BFS per destination
+   from the injection buffers over [Algo.route], filtered to transit
+   buffers and stopping where the head has arrived.  Every (buffer, dest)
+   pair of every catalogue entry must agree with [State_space] on
+   reachability, outputs, waits and the reduced-waits hint. *)
+let naive_reachable net (algo : Algo.t) ~dest =
+  let seen = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit q =
+    if not (Hashtbl.mem seen q) then begin
+      Hashtbl.add seen q ();
+      Queue.add q queue
+    end
+  in
+  for src = 0 to Net.num_nodes net - 1 do
+    if src <> dest then visit (Buf.id (Net.injection net src))
+  done;
+  while not (Queue.is_empty queue) do
+    let b = Net.buffer net (Queue.pop queue) in
+    if Buf.head_node b <> dest then
+      List.iter
+        (fun o -> if Buf.is_transit (Net.buffer net o) then visit o)
+        (algo.Algo.route net b ~dest)
+  done;
+  seen
+
+let test_state_table_matches_naive_bfs () =
   List.iter
     (fun (e : Registry.entry) ->
       let net = Registry.network_for e None in
-      let dense = State_space.build ~storage:`Dense net e.Registry.algo in
-      let sparse = State_space.build ~storage:`Sparse net e.Registry.algo in
-      let bd = Bwg.build dense and bs = Bwg.build sparse in
+      let algo = e.Registry.algo in
+      let space = State_space.build net algo in
+      let reduced = State_space.reduced_waits space in
       check Alcotest.bool
-        (e.Registry.name ^ " sparse = dense BWG")
-        true
-        (Dfr_graph.Digraph.equal (Bwg.graph bd) (Bwg.graph bs));
-      check Alcotest.bool
-        (e.Registry.name ^ " sparse = dense acyclicity")
-        (Bwg.is_acyclic bd) (Bwg.is_acyclic bs);
-      (* reachability agrees state by state *)
-      let buffers = Net.num_buffers net and nodes = Net.num_nodes net in
-      for buf = 0 to buffers - 1 do
-        for dest = 0 to nodes - 1 do
-          if
-            State_space.is_reachable dense ~buf ~dest
-            <> State_space.is_reachable sparse ~buf ~dest
-          then
-            Alcotest.failf "%s: reachability differs at buf %d dest %d"
-              e.Registry.name buf dest
+        (e.Registry.name ^ " hint presence")
+        (algo.Algo.reduced_waits <> None) (reduced <> None);
+      for dest = 0 to Net.num_nodes net - 1 do
+        let seen = naive_reachable net algo ~dest in
+        for buf = 0 to Net.num_buffers net - 1 do
+          let b = Net.buffer net buf in
+          let reachable = Hashtbl.mem seen buf in
+          let live = reachable && Buf.head_node b <> dest in
+          let expect f = if live then f net b ~dest else [] in
+          let fail what =
+            Alcotest.failf "%s: %s differs at buf %d dest %d" e.Registry.name
+              what buf dest
+          in
+          if State_space.is_reachable space ~buf ~dest <> reachable then
+            fail "reachability";
+          let outs =
+            List.filter
+              (fun o -> Buf.is_transit (Net.buffer net o))
+              (expect algo.Algo.route)
+          in
+          if State_space.outputs space ~buf ~dest <> outs then fail "outputs";
+          if State_space.waits space ~buf ~dest <> expect algo.Algo.waits then
+            fail "waits";
+          match (reduced, algo.Algo.reduced_waits) with
+          | Some got, Some rw ->
+            if got ~buf ~dest <> expect rw then fail "reduced waits"
+          | _ -> ()
         done
       done)
-    Registry.all
-
-let test_hybrid_closures_match_dense () =
-  (* the hybrid sparse/dense closure rows are an allocation strategy, not a
-     semantics change: forcing every row dense must yield the identical
-     graph (and hence identical verdict material) on every catalogue entry *)
-  List.iter
-    (fun (e : Registry.entry) ->
-      let net = Registry.network_for e None in
-      let space = State_space.build net e.Registry.algo in
-      let hybrid = Bwg.build space in
-      let dense = Bwg.build ~dense_closures:true space in
-      check Alcotest.bool
-        (e.Registry.name ^ " hybrid = dense graph")
-        true
-        (Dfr_graph.Digraph.equal (Bwg.graph hybrid) (Bwg.graph dense));
-      check Alcotest.bool
-        (e.Registry.name ^ " hybrid = dense acyclicity")
-        (Bwg.is_acyclic dense) (Bwg.is_acyclic hybrid))
     Registry.all
 
 let test_witness_cap_respected () =
@@ -697,10 +712,8 @@ let suite =
       Alcotest.test_case "VCT matches SAF" `Quick test_vct_matches_saf_verdicts;
       Alcotest.test_case "closure ablation is unsound" `Quick test_closure_ablation_unsound;
       Alcotest.test_case "closure no-op for SAF" `Quick test_closure_matches_for_saf;
-      Alcotest.test_case "sparse state table = dense" `Quick
-        test_sparse_state_table_matches_dense;
-      Alcotest.test_case "hybrid closures = dense closures" `Quick
-        test_hybrid_closures_match_dense;
+      Alcotest.test_case "state table = naive BFS" `Quick
+        test_state_table_matches_naive_bfs;
       Alcotest.test_case "witness cap respected" `Quick test_witness_cap_respected;
     ]
 

@@ -114,11 +114,11 @@ let test_validate_parallel () =
     [ 2; 4 ]
 
 (* the state space itself: reachability, outputs and waits per
-   (buffer, dest) must match the serial build, under both storages *)
-let check_space_identical name ~storage net algo =
+   (buffer, dest) must match the serial build *)
+let check_space_identical name net algo =
   with_cap 4 @@ fun () ->
-  let s1 = State_space.build ~storage ~domains:1 net algo in
-  let s4 = State_space.build ~storage ~domains:4 net algo in
+  let s1 = State_space.build ~domains:1 net algo in
+  let s4 = State_space.build ~domains:4 net algo in
   for buf = 0 to State_space.num_buffers s1 - 1 do
     for dest = 0 to State_space.num_nodes s1 - 1 do
       if
@@ -133,15 +133,13 @@ let check_space_identical name ~storage net algo =
   check Alcotest.bool (name ^ ": same stuck states") true
     (State_space.stuck_states s1 = State_space.stuck_states s4)
 
+(* the case names date from when the table had a dense and a sparse
+   layout; there is one layout now, and each case checks one instance *)
 let test_space_dense () =
-  check_space_identical "dense efa 3-cube" ~storage:`Dense cube3
-    Hypercube_wormhole.efa
+  check_space_identical "efa 3-cube" cube3 Hypercube_wormhole.efa
 
 let test_space_sparse () =
-  check_space_identical "sparse efa 3-cube" ~storage:`Sparse cube3
-    Hypercube_wormhole.efa;
-  check_space_identical "sparse two-buffer 3x3" ~storage:`Sparse saf33
-    Mesh_saf.two_buffer
+  check_space_identical "two-buffer 3x3" saf33 Mesh_saf.two_buffer
 
 (* ---- end to end: the whole catalogue, byte for byte ---- *)
 

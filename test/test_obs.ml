@@ -81,31 +81,27 @@ let test_counters_deterministic () =
       check Alcotest.bool (name ^ ": counters nonempty") true (serial <> []))
     [ "efa"; "two-buffer" ]
 
-(* same invariance for the phases this PR parallelized directly —
-   validate, the per-destination BFS (under both storages) and the
-   move-graph materialization — without the checker around them *)
-let space_counters ~storage domains =
+(* same invariance for the phases parallelized directly — validate, the
+   per-destination BFS and the move-graph materialization — without the
+   checker around them *)
+let space_counters domains =
   with_cap 4 @@ fun () ->
   let e = Option.get (Registry.find "efa") in
   let net = Registry.network_for e None in
   Obs.enable ();
-  let space = State_space.build ~storage ~domains net e.Registry.algo in
+  let space = State_space.build ~domains net e.Registry.algo in
   State_space.materialize_move_graphs ~domains space;
   let cs = Obs.counters () in
   Obs.disable ();
   cs
 
 let test_space_counters_deterministic () =
-  List.iter
-    (fun (label, storage) ->
-      let serial = space_counters ~storage 1 in
-      let parallel = space_counters ~storage 4 in
-      check
-        Alcotest.(list (pair string int))
-        (label ^ ": space counters agree across domains")
-        serial parallel;
-      check Alcotest.bool (label ^ ": counters nonempty") true (serial <> []))
-    [ ("dense", `Dense); ("sparse", `Sparse) ]
+  let serial = space_counters 1 in
+  let parallel = space_counters 4 in
+  check
+    Alcotest.(list (pair string int))
+    "space counters agree across domains" serial parallel;
+  check Alcotest.bool "counters nonempty" true (serial <> [])
 
 let test_trace_exports_valid_json () =
   let e = Option.get (Registry.find "efa") in

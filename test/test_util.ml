@@ -214,22 +214,24 @@ let test_hybrid_promotion () =
   check (Alcotest.list Alcotest.int) "elements ascending"
     [ 0; 62; 124; 186; 248; 310; 372; 434; 496; 558; 610; 611 ]
     (Bitset.Hybrid.elements s);
-  (* a forced-dense container starts dense and reports more storage for
-     sparse content *)
-  let h = Bitset.Hybrid.Rows.create ~rows:4 ~len () in
-  let d = Bitset.Hybrid.Rows.create ~force_dense:true ~rows:4 ~len () in
-  check Alcotest.bool "forced flag" true (Bitset.Hybrid.Rows.is_forced_dense d);
-  Bitset.Hybrid.Rows.add h 1 3;
-  Bitset.Hybrid.Rows.add d 1 3;
-  check Alcotest.int "no sparse row promoted" 0 (Bitset.Hybrid.Rows.dense_rows h);
-  check Alcotest.int "all forced rows dense" 4 (Bitset.Hybrid.Rows.dense_rows d);
-  check Alcotest.bool "sparse stores fewer words" true
-    (Bitset.Hybrid.Rows.storage_words h < Bitset.Hybrid.Rows.storage_words d)
+  (* storage tracks the representation: one element in a sparse row costs
+     the initial 4-word array, a promoted row costs its bitmap *)
+  let rows = Bitset.Hybrid.Rows.create ~rows:4 ~len () in
+  check Alcotest.int "empty rows store nothing" 0
+    (Bitset.Hybrid.Rows.storage_words rows);
+  Bitset.Hybrid.Rows.add rows 1 3;
+  check Alcotest.int "no sparse row promoted" 0
+    (Bitset.Hybrid.Rows.dense_rows rows);
+  check Alcotest.int "sparse row words" 4 (Bitset.Hybrid.Rows.storage_words rows);
+  List.iter (Bitset.Hybrid.Rows.add rows 2) (List.init 11 (fun k -> k * 50));
+  check Alcotest.int "one row promoted" 1 (Bitset.Hybrid.Rows.dense_rows rows);
+  check Alcotest.int "dense row words" (4 + 10)
+    (Bitset.Hybrid.Rows.storage_words rows)
 
 (* The differential pin for the closure container: an arbitrary add/union
-   program gives identical sets under the hybrid representation, the
-   forced-dense escape hatch and a sorted-list reference model — element
-   order, cardinals and membership all agree, across promotions. *)
+   program gives identical sets under the hybrid representation and a
+   sorted-list reference model — element order, cardinals and membership
+   all agree, across promotions. *)
 let prop_hybrid_rows_differential =
   let rows = 6 and len = 300 in
   let op_gen =
@@ -240,28 +242,24 @@ let prop_hybrid_rows_differential =
           map2 (fun a b -> `Union (a, b)) (int_range 0 (rows - 1)) (int_range 0 (rows - 1));
         ])
   in
-  QCheck.Test.make ~name:"hybrid rows = forced-dense = reference" ~count:300
+  QCheck.Test.make ~name:"hybrid rows = reference model" ~count:300
     (QCheck.make QCheck.Gen.(list_size (int_range 0 150) op_gen))
     (fun ops ->
       let h = Bitset.Hybrid.Rows.create ~rows ~len () in
-      let d = Bitset.Hybrid.Rows.create ~force_dense:true ~rows ~len () in
       let reference = Array.make rows [] in
       List.iter
         (function
           | `Add (r, i) ->
             Bitset.Hybrid.Rows.add h r i;
-            Bitset.Hybrid.Rows.add d r i;
             reference.(r) <- List.sort_uniq compare (i :: reference.(r))
           | `Union (a, b) ->
             Bitset.Hybrid.Rows.union_rows h ~into:a ~src:b;
-            Bitset.Hybrid.Rows.union_rows d ~into:a ~src:b;
             if a <> b then
               reference.(a) <- List.sort_uniq compare (reference.(b) @ reference.(a)))
         ops;
       List.for_all
         (fun r ->
           hybrid_row h r = reference.(r)
-          && hybrid_row d r = reference.(r)
           && Bitset.Hybrid.Rows.cardinal_row h r = List.length reference.(r)
           && List.for_all
                (fun i ->
