@@ -547,15 +547,15 @@ let run_synth () =
     let r = f () in
     (r, (Mono.now () -. t0) *. 1e9)
   in
-  let stats_json (s : Synth.stats) =
+  let stats_json (s : Reduction.stats) =
     J.Obj
       [
-        ("rebuilds", J.Int s.Synth.rebuilds);
-        ("decisions", J.Int s.Synth.decisions);
-        ("conflicts", J.Int s.Synth.conflicts);
-        ("clauses_learned", J.Int s.Synth.learned);
-        ("pruned", J.Int s.Synth.pruned);
-        ("restored", J.Int s.Synth.restored);
+        ("rebuilds", J.Int s.Reduction.rebuilds);
+        ("decisions", J.Int s.Reduction.decisions);
+        ("conflicts", J.Int s.Reduction.conflicts);
+        ("clauses_learned", J.Int s.Reduction.learned);
+        ("pruned", J.Int s.Reduction.pruned);
+        ("restored", J.Int s.Reduction.restored);
       ]
   in
   (* Row 1: Theorem-3 forward synthesis on every multi-wait catalogue
@@ -574,8 +574,8 @@ let run_synth () =
         | Synth.Synthesized s ->
           Printf.printf "  bwg %-24s %8.2f ms  removed %3d  %s\n%!" name
             (ns /. 1e6) (List.length s.Synth.removed)
-            (Printf.sprintf "rebuilds %d, clauses %d" s.Synth.stats.Synth.rebuilds
-               s.Synth.stats.Synth.learned);
+            (Printf.sprintf "rebuilds %d, clauses %d"
+               s.Synth.stats.Reduction.rebuilds s.Synth.stats.Reduction.learned);
           Some
             ( name,
               J.Obj
@@ -626,7 +626,7 @@ let run_synth () =
       Printf.printf
         "  repair %-21s %8.2f ms  widened %d, removed %d, restored %d\n%!"
         "dragonfly-minimal-1vc" (ns /. 1e6) s.Synth.widened removed
-        s.Synth.stats.Synth.restored;
+        s.Synth.stats.Reduction.restored;
       J.Obj
         [
           ("algorithm", J.String "dragonfly-minimal-1vc");

@@ -1117,26 +1117,26 @@ let fuzz_cmd =
 
 module Synth = Dfr_synth.Synth
 
-let synth_entry_json net (e : Synth.entry) =
+let synth_entry_json net (e : Reduction.removed) =
   let module J = Dfr_util.Json in
   J.Obj
     [
-      ("head", J.Int e.Synth.head);
-      ("dest", J.Int e.Synth.dest);
-      ("target", J.Int e.Synth.target);
+      ("head", J.Int e.Reduction.head);
+      ("dest", J.Int e.Reduction.dest);
+      ("target", J.Int e.Reduction.target);
       ("text", J.String (Synth.describe_entry net e));
     ]
 
-let synth_stats_json (s : Synth.stats) =
+let synth_stats_json (s : Reduction.stats) =
   let module J = Dfr_util.Json in
   J.Obj
     [
-      ("rebuilds", J.Int s.Synth.rebuilds);
-      ("decisions", J.Int s.Synth.decisions);
-      ("conflicts", J.Int s.Synth.conflicts);
-      ("learned", J.Int s.Synth.learned);
-      ("pruned", J.Int s.Synth.pruned);
-      ("restored", J.Int s.Synth.restored);
+      ("rebuilds", J.Int s.Reduction.rebuilds);
+      ("decisions", J.Int s.Reduction.decisions);
+      ("conflicts", J.Int s.Reduction.conflicts);
+      ("learned", J.Int s.Reduction.learned);
+      ("pruned", J.Int s.Reduction.pruned);
+      ("restored", J.Int s.Reduction.restored);
     ]
 
 let print_removed net removed =
@@ -1192,8 +1192,8 @@ let synth_report ~label ~mode ~certify ~json ~output ~metrics net
            Printf.sprintf " (relation first widened by %d entries)"
              s.Synth.widened
          else "")
-        st.Synth.rebuilds st.Synth.decisions st.Synth.conflicts
-        st.Synth.learned st.Synth.pruned st.Synth.restored;
+        st.Reduction.rebuilds st.Reduction.decisions st.Reduction.conflicts
+        st.Reduction.learned st.Reduction.pruned st.Reduction.restored;
       if s.Synth.removed <> [] then print_removed net s.Synth.removed
     end;
     let spec_field, spec_code =

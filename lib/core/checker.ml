@@ -44,7 +44,9 @@ type report = {
 let scan_cycles ?class_limits ?(domains = 1) bwg cycles =
   Obs.span "checker.classify" @@ fun () ->
   let cycles =
-    List.sort (fun a b -> compare (List.length a) (List.length b)) cycles
+    List.map (fun c -> (List.length c, c)) cycles
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
   in
   let classify c = Cycle_class.classify ?limits:class_limits bwg c in
   let n = List.length cycles in
@@ -130,8 +132,8 @@ let scan_cycles ?class_limits ?(domains = 1) bwg cycles =
    is what makes incremental slow-path verdicts bit-for-bit identical to
    cold ones.  [unconnected] is only consulted when [stuck] is empty, so
    callers that already have stuck states may pass [[]] for it. *)
-let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
-    ~unconnected space bwg =
+let decide ?cycle_limits ?class_limits ?(domains = 1) ~stuck ~unconnected space
+    bwg =
   let algo = State_space.algo space in
   let n_cycles = ref None in
   let ran_knot = ref false and ran_scan = ref false and ran_classify = ref false in
@@ -189,10 +191,7 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                           full_bwg_cycles = List.length cycles;
                         }))
               | _ -> (
-                match
-                  Reduction.search ?cycle_limits ?class_limits
-                    ?budget:reduction_budget space
-                with
+                match fst (Reduction.search ?cycle_limits ?class_limits space) with
                 | Reduction.Reduced (_, removed) ->
                   finish
                     (Deadlock_free
@@ -219,7 +218,7 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                  Resource Cycles remain. *)
               finish (Deadlock_free (No_true_cycles { cycles_examined = examined })))))
 
-let check ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) net algo =
+let check ?cycle_limits ?class_limits ?(domains = 1) net algo =
   Obs.span "checker.check" @@ fun () ->
   let space = State_space.build ~domains net algo in
   let bwg = Bwg.build ~domains space in
@@ -227,11 +226,10 @@ let check ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) net algo 
   let unconnected =
     if stuck = [] then Bwg.unconnected_states ~domains bwg else []
   in
-  decide ?cycle_limits ?class_limits ?reduction_budget ~domains ~stuck
-    ~unconnected space bwg
+  decide ?cycle_limits ?class_limits ~domains ~stuck ~unconnected space bwg
 
-let verdict ?cycle_limits ?class_limits ?reduction_budget ?domains net algo =
-  (check ?cycle_limits ?class_limits ?reduction_budget ?domains net algo).verdict
+let verdict ?cycle_limits ?class_limits ?domains net algo =
+  (check ?cycle_limits ?class_limits ?domains net algo).verdict
 
 (* Serving entry point: a long-lived process checking untrusted inputs
    cannot afford [check]'s process-per-check error model, where a
@@ -243,8 +241,8 @@ let verdict ?cycle_limits ?class_limits ?reduction_budget ?domains net algo =
    data.  Asynchronous exceptions (Out_of_memory, Stack_overflow) are
    deliberately not caught: a worker cannot know how much of the heap
    they poisoned. *)
-let check_result ?cycle_limits ?class_limits ?reduction_budget ?domains net algo =
-  match check ?cycle_limits ?class_limits ?reduction_budget ?domains net algo with
+let check_result ?cycle_limits ?class_limits ?domains net algo =
+  match check ?cycle_limits ?class_limits ?domains net algo with
   | report -> Ok report
   | exception Invalid_argument msg -> Error msg
   | exception Failure msg -> Error msg

@@ -58,7 +58,6 @@ type report = {
 val check :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
   ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->
@@ -72,7 +71,6 @@ val check :
 val decide :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
   ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   stuck:(int * int) list ->
   unconnected:(int * int) list ->
@@ -91,7 +89,6 @@ val decide :
 val verdict :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
   ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->
@@ -101,7 +98,6 @@ val verdict :
 val check_result :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
   ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->

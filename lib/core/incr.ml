@@ -78,7 +78,6 @@ type t = {
   domains : int;
   cycle_limits : Cycles.limits option;
   class_limits : Cycle_class.limits option;
-  reduction_budget : int option;
   mutable n_updates : int;
   mutable n_fast : int;
   mutable n_replay : int;
@@ -295,8 +294,7 @@ let conclude t ~dirty_dests =
     in
     let report =
       Checker.decide ?cycle_limits:t.cycle_limits ?class_limits:t.class_limits
-        ?reduction_budget:t.reduction_budget ~domains:t.domains ~stuck
-        ~unconnected t.space bwg
+        ~domains:t.domains ~stuck ~unconnected t.space bwg
     in
     {
       report = Report_json.of_outcome t.net t.algo report;
@@ -307,8 +305,8 @@ let conclude t ~dirty_dests =
     }
   end
 
-let create ?(witness_cap = 32) ?cycle_limits ?class_limits ?reduction_budget
-    ?(domains = 1) net algo =
+let create ?(witness_cap = 32) ?cycle_limits ?class_limits ?(domains = 1) net
+    algo =
   Obs.span "incr.create" @@ fun () ->
   let space = State_space.build ~domains net algo in
   let num_nodes = State_space.num_nodes space in
@@ -328,7 +326,6 @@ let create ?(witness_cap = 32) ?cycle_limits ?class_limits ?reduction_budget
       domains;
       cycle_limits;
       class_limits;
-      reduction_budget;
       n_updates = 0;
       n_fast = 0;
       n_replay = 0;

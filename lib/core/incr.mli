@@ -52,7 +52,6 @@ val create :
   ?witness_cap:int ->
   ?cycle_limits:Dfr_graph.Cycles.limits ->
   ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->

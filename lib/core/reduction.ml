@@ -8,22 +8,20 @@ type outcome =
   | Impossible
   | Gave_up of string
 
+type stats = {
+  rebuilds : int;
+  decisions : int;
+  conflicts : int;
+  learned : int;
+  pruned : int;
+  restored : int;
+}
+
 (* No True Cycles in [bwg]?  Returns [Ok (Some witness)] when a True Cycle
    exists, [Ok None] when provably none does, [Error reason] when a cap was
-   hit. *)
-let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
-    =
+   hit.  Cycles are classified in enumeration order. *)
+let true_cycle_status ?cycle_limits ?class_limits bwg =
   let cycles, cycles_exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
-  let cycles =
-    (* shortest cycles have the fewest witness packets, so a caller
-       learning blocking clauses from the witness gets the tightest
-       clause; stable sort keeps determinism *)
-    if shortest_first then
-      List.stable_sort
-        (fun a b -> compare (List.length a) (List.length b))
-        cycles
-    else cycles
-  in
   let rec go uncertain = function
     | [] -> if uncertain then Error "cycle classification hit its caps" else Ok None
     | c :: rest -> (
@@ -78,75 +76,296 @@ let generating_entries space current ~wormhole q w =
   done;
   !acc
 
-let search ?cycle_limits ?class_limits ?(budget = 2000) space =
+(* Learned blocking clauses: a clause is a sorted array of entry ids, "at
+   least one must be removed".  [dead] counts the removed entries per
+   clause, maintained on every remove/restore, so "some clause violated"
+   (all entries live) is a scan over an int array.  [activity] counts how
+   often an entry appears in discovered cycles; branching follows it. *)
+module Clauses = struct
+  type t = {
+    mutable arr : int array array;
+    mutable dead : int array;
+    mutable n : int;
+    occ : int list array; (* entry id -> clauses containing it *)
+    activity : int array;
+    seen : (int array, unit) Hashtbl.t;
+  }
+
+  let create num_entries =
+    {
+      arr = Array.make 16 [||];
+      dead = Array.make 16 0;
+      n = 0;
+      occ = Array.make (max 1 num_entries) [];
+      activity = Array.make (max 1 num_entries) 0;
+      seen = Hashtbl.create 64;
+    }
+
+  (* returns true when the clause is new *)
+  let learn t ~live c =
+    Array.iter (fun e -> t.activity.(e) <- t.activity.(e) + 1) c;
+    if Hashtbl.mem t.seen c then false
+    else begin
+      Hashtbl.add t.seen c ();
+      if t.n = Array.length t.arr then begin
+        t.arr <- Array.append t.arr (Array.make t.n [||]);
+        t.dead <- Array.append t.dead (Array.make t.n 0)
+      end;
+      t.arr.(t.n) <- c;
+      t.dead.(t.n) <-
+        Array.fold_left (fun acc e -> if live.(e) then acc else acc + 1) 0 c;
+      Array.iter (fun e -> t.occ.(e) <- t.n :: t.occ.(e)) c;
+      t.n <- t.n + 1;
+      true
+    end
+
+  let on_remove t e = List.iter (fun i -> t.dead.(i) <- t.dead.(i) + 1) t.occ.(e)
+  let on_restore t e = List.iter (fun i -> t.dead.(i) <- t.dead.(i) - 1) t.occ.(e)
+
+  (* the first violated clause, in learning order *)
+  let violated t =
+    let rec go i =
+      if i >= t.n then None else if t.dead.(i) = 0 then Some t.arr.(i) else go (i + 1)
+    in
+    go 0
+end
+
+exception Stop of string
+
+(* The search is a boolean assignment "wait entry live / removed" over
+   the entries of every reachable state.  A probe builds the candidate
+   BWG and asks for a True Cycle.  Each True Cycle's witness packets name
+   the wait entries generating its edges; as long as all of them stay
+   live the same cycle recurs (routes are fixed, so the True-Cycle
+   property is monotone in the kept entries), so the set becomes a
+   blocking clause "remove at least one".  On a conflict the search first
+   tries to dissolve one whole cycle edge at a time — remove every live
+   entry generating it, the paper's design move and the cheapest way to
+   kill a cycle family — and then branches on the single entries of the
+   clause, most active first, id ties, which is what makes exhaustion an
+   exact Theorem-3 refutation.  A candidate violating a learned clause is
+   pruned without rebuilding.  Wait-connectivity is an invariant: the
+   last live entry of a state is never removed. *)
+let search ?cycle_limits ?class_limits ?(budget = 2000) ?(domains = 1)
+    ?(minimize = false) space =
   Obs.span "reduction.search" @@ fun () ->
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   let num_nodes = State_space.num_nodes space in
-  (* mutable copy of the waiting rule, indexed like the state space *)
-  let table = Hashtbl.create 256 in
+  (* entry table: the entries of state [si] are ids start.(si) ..
+     start.(si + 1) - 1, in waiting-rule order *)
+  let index = Hashtbl.create 256 in
+  let rev_entries = ref [] and rev_start = ref [] and num_states = ref 0 in
+  let num_entries = ref 0 in
   State_space.iter_reachable space (fun ~buf ~dest ->
-      let ws = State_space.waits space ~buf ~dest in
-      if ws <> [] then Hashtbl.replace table ((buf * num_nodes) + dest) ws);
-  let current ~buf ~dest =
-    Option.value (Hashtbl.find_opt table ((buf * num_nodes) + dest)) ~default:[]
+      match State_space.waits space ~buf ~dest with
+      | [] -> ()
+      | ws ->
+        Hashtbl.replace index ((buf * num_nodes) + dest) !num_states;
+        rev_start := !num_entries :: !rev_start;
+        incr num_states;
+        List.iter
+          (fun target ->
+            rev_entries := { head = buf; dest; target } :: !rev_entries;
+            incr num_entries)
+          ws);
+  let entries = Array.of_list (List.rev !rev_entries) in
+  let n = Array.length entries in
+  let start = Array.of_list (List.rev (n :: !rev_start)) in
+  let state_of = Array.make n 0 in
+  for si = 0 to !num_states - 1 do
+    Array.fill state_of start.(si) (start.(si + 1) - start.(si)) si
+  done;
+  let live = Array.make n true in
+  let live_count = Array.init !num_states (fun si -> start.(si + 1) - start.(si)) in
+  (* each state's live waiting set, refreshed when one of its entries
+     changes, so a BWG build reads it with one int-keyed lookup *)
+  let waits =
+    Array.init !num_states (fun si ->
+        List.init (live_count.(si)) (fun i -> entries.(start.(si) + i).target))
   in
-  let removed = ref [] in
-  let remaining = ref budget in
-  let uncertain = ref None in
-  let exception Success of Bwg.t in
-  let rec attempt () =
-    if !remaining <= 0 then uncertain := Some "reduction budget exhausted"
-    else begin
-      decr remaining;
-      Obs.count "reduction.attempts" 1;
-      let bwg = Bwg.build ~wait_sets:current space in
-      match true_cycle_status ?cycle_limits ?class_limits bwg with
-      | Error reason -> uncertain := Some reason
-      | Ok None -> raise (Success bwg)
-      | Ok (Some (cycle, _)) ->
+  let refresh si =
+    let acc = ref [] in
+    for e = start.(si + 1) - 1 downto start.(si) do
+      if live.(e) then acc := entries.(e).target :: !acc
+    done;
+    waits.(si) <- !acc
+  in
+  let wait_sets ~buf ~dest =
+    match Hashtbl.find_opt index ((buf * num_nodes) + dest) with
+    | Some si -> waits.(si)
+    | None -> []
+  in
+  let entry_id ~head ~dest ~target =
+    match Hashtbl.find_opt index ((head * num_nodes) + dest) with
+    | None -> None
+    | Some si ->
+      let rec find e =
+        if e >= start.(si + 1) then None
+        else if entries.(e).target = target then Some e
+        else find (e + 1)
+      in
+      find start.(si)
+  in
+  let clauses = Clauses.create n in
+  let remove e =
+    live.(e) <- false;
+    live_count.(state_of.(e)) <- live_count.(state_of.(e)) - 1;
+    refresh state_of.(e);
+    Clauses.on_remove clauses e
+  in
+  let restore e =
+    Clauses.on_restore clauses e;
+    live.(e) <- true;
+    live_count.(state_of.(e)) <- live_count.(state_of.(e)) + 1;
+    refresh state_of.(e)
+  in
+  let removable e = live.(e) && live_count.(state_of.(e)) > 1 in
+  let rebuilds = ref 0 and decisions = ref 0 and conflicts = ref 0 in
+  let learned = ref 0 and pruned = ref 0 and restored = ref 0 in
+  let max_decisions = 256 * budget in
+  (* hang guard: clause-pruned subtrees cost no rebuilds, so the rebuild
+     budget alone cannot bound them *)
+  let decide () =
+    if !decisions >= max_decisions then
+      raise (Stop (Printf.sprintf "decision limit of %d exhausted" max_decisions));
+    incr decisions
+  in
+  (* the BWG of the last True-Cycle-free probe; after the search and the
+     minimization pass it is the BWG of the final table *)
+  let last_free = ref None in
+  let probe () =
+    incr rebuilds;
+    let bwg = Bwg.build ~wait_sets ~domains space in
+    let status = true_cycle_status ?cycle_limits ?class_limits bwg in
+    (match status with Ok None -> last_free := Some bwg | _ -> ());
+    status
+  in
+  let clause_of packets =
+    List.map
+      (fun (p : Cycle_class.packet) ->
+        let head =
+          match List.rev p.Cycle_class.path with
+          | [] -> raise (Stop "internal: witness packet with an empty path")
+          | head :: _ -> head
+        in
+        match
+          entry_id ~head ~dest:p.Cycle_class.dest ~target:p.Cycle_class.waits_for
+        with
+        | Some e -> e
+        | None ->
+          raise (Stop "internal: witness wait entry missing from the entry table"))
+      packets
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let by_activity c =
+    List.stable_sort
+      (fun a b ->
+        let act = clauses.Clauses.activity in
+        match compare act.(b) act.(a) with
+        | 0 -> compare a b
+        | c -> c)
+      (Array.to_list c)
+  in
+  (* DFS.  True when a True-Cycle-free table was reached (the table is
+     left at it); false when this subtree is exhausted. *)
+  let rec solve () =
+    match Clauses.violated clauses with
+    | Some clause ->
+      incr pruned;
+      branch clause
+    | None -> (
+      if !rebuilds >= budget then
+        raise
+          (Stop (Printf.sprintf "search budget of %d BWG rebuilds exhausted" budget));
+      match probe () with
+      | Error reason -> raise (Stop reason)
+      | Ok None -> true
+      | Ok (Some (cycle, packets)) ->
+        incr conflicts;
+        let clause = clause_of packets in
+        if Clauses.learn clauses ~live clause then incr learned;
         let first = List.hd cycle in
-        let edges =
-          let rec pair = function
-            | [ last ] -> [ (last, first) ]
-            | a :: (b :: _ as rest) -> (a, b) :: pair rest
-            | [] -> assert false
-          in
-          pair cycle
+        let rec edges = function
+          | [ last ] -> [ (last, first) ]
+          | a :: (b :: _ as rest) -> (a, b) :: edges rest
+          | [] -> []
         in
-        let try_edge (q, w) =
-          let entries = generating_entries space current ~wormhole q w in
-          (* an entry is removable only if its state keeps another wait *)
-          let removable =
-            List.for_all
-              (fun (h, d) -> List.length (current ~buf:h ~dest:d) > 1)
-              entries
-          in
-          if removable && entries <> [] then begin
-            let saved =
-              List.map (fun (h, d) -> ((h, d), current ~buf:h ~dest:d)) entries
-            in
-            List.iter
-              (fun (h, d) ->
-                Hashtbl.replace table
-                  ((h * num_nodes) + d)
-                  (List.filter (fun x -> x <> w) (current ~buf:h ~dest:d)))
-              entries;
-            removed := List.map (fun (h, d) -> { head = h; dest = d; target = w }) entries @ !removed;
-            attempt ();
-            (* backtrack *)
-            removed :=
-              List.filter
-                (fun r -> not (List.exists (fun (h, d) -> r.head = h && r.dest = d && r.target = w) entries))
-                !removed;
-            List.iter (fun ((h, d), ws) -> Hashtbl.replace table ((h * num_nodes) + d) ws) saved
-          end
-        in
-        List.iter try_edge edges
-    end
+        List.exists dissolve (edges cycle) || branch clause)
+  (* remove every live entry generating edge q -> w, if each touched state
+     keeps a wait *)
+  and dissolve (q, w) =
+    let ids =
+      List.map
+        (fun (head, dest) -> entry_id ~head ~dest ~target:w)
+        (generating_entries space wait_sets ~wormhole q w)
+    in
+    ids <> []
+    && List.for_all (function Some e -> removable e | None -> false) ids
+    &&
+    let ids = List.map Option.get ids in
+    decide ();
+    List.iter remove ids;
+    solve ()
+    || begin
+         List.iter restore ids;
+         false
+       end
+  and branch clause =
+    List.exists
+      (fun e ->
+        removable e
+        && begin
+             decide ();
+             remove e;
+             solve ()
+             || begin
+                  restore e;
+                  false
+                end
+           end)
+      (by_activity clause)
   in
-  try
-    attempt ();
-    match !uncertain with
-    | Some reason -> Gave_up reason
-    | None -> Impossible
-  with Success bwg -> Reduced (bwg, List.rev !removed)
+  (* Greedy 1-minimization: restore each removal in ascending entry order
+     and keep the restoration whenever the candidate stays True-Cycle-free.
+     By monotonicity one ascending pass leaves a 1-minimal removed set —
+     re-admitting any single survivor brings a True Cycle back. *)
+  let minimize_pass () =
+    Obs.span "reduction.minimize" @@ fun () ->
+    for e = 0 to n - 1 do
+      if not live.(e) then begin
+        restore e;
+        match probe () with
+        | Ok None -> incr restored
+        | Ok (Some _) | Error _ -> remove e
+      end
+    done
+  in
+  let outcome =
+    match solve () with
+    | exception Stop msg -> Gave_up msg
+    | false -> Impossible
+    | true ->
+      if minimize then minimize_pass ();
+      let removed = ref [] in
+      for e = n - 1 downto 0 do
+        if not live.(e) then removed := entries.(e) :: !removed
+      done;
+      Reduced (Option.get !last_free, List.sort compare !removed)
+  in
+  let stats =
+    {
+      rebuilds = !rebuilds;
+      decisions = !decisions;
+      conflicts = !conflicts;
+      learned = !learned;
+      pruned = !pruned;
+      restored = !restored;
+    }
+  in
+  Obs.count "reduction.rebuilds" stats.rebuilds;
+  Obs.count "reduction.decisions" stats.decisions;
+  Obs.count "reduction.conflicts" stats.conflicts;
+  Obs.count "reduction.clauses.learned" stats.learned;
+  Obs.count "reduction.pruned" stats.pruned;
+  Obs.count "reduction.restored" stats.restored;
+  (outcome, stats)

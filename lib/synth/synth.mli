@@ -2,56 +2,39 @@
     certification — the constructive side of the paper's Theorem 3.
 
     The checker decides deadlock freedom of a {e given} design; this
-    module {e finds} designs.  Three entry points share one engine, a
-    CDCL-flavoured backtracking search over wait (or route) entries:
+    module {e finds} designs:
 
     - {!synthesize} (Theorem 3 forward): find a wait-connected,
       True-Cycle-free subset of the waiting rule — a BWG' — for a
-      multi-wait algorithm, without a hand-supplied hint;
+      multi-wait algorithm, without a hand-supplied hint.  It runs
+      {!Reduction.search}, the same engine the checker decides
+      multi-wait algorithms with, so its exhaustion is an honest [Unsat]
+      — Theorem 3's necessity direction;
     - {!repair} (design methodology, §6): given a deadlocking algorithm,
       re-decide, for every (occupied buffer, destination) state and every
       physical hop it takes, {e which} virtual copy of that hop to use —
       a conflict-driven search over copy assignments whose solution space
-      contains the classic dateline/layered designs;
+      contains the classic dateline/layered designs.  Reassignments
+      change occupancy, its value clauses are heuristic, and exhaustion
+      only says [Gave_up]; the accepted candidate is instead re-verified
+      end to end by the checker;
     - {!certify} (Theorem 6 style): prove a candidate restriction maximal
       by exhibiting, for every removed entry, a True Cycle that appears
       the moment that single entry is re-admitted — each witness is a
       machine-checkable certificate replayed with {!replay}.
 
-    The search learns {e blocking clauses} from every True Cycle it
-    meets: the witness packets name the wait entries generating the
-    cycle's edges, and as long as all of them stay live the same cycle
-    family recurs — so at least one must go.  Candidates violating a
-    learned clause are pruned without rebuilding the BWG.  In
-    {!synthesize} routes are fixed, the True-Cycle property is monotone
-    in the kept entries, the implication is exact, and exhaustion is an
-    honest [Unsat] — Theorem 3's necessity direction.  In {!repair}
-    reassignments change occupancy, clauses are heuristic, and
-    exhaustion only says [Gave_up]; the accepted candidate is instead
-    re-verified end to end by the checker.
+    Every search is deterministic: branching follows clause activity with
+    identifier ties, no wall clock or randomness enters, and [domains]
+    only parallelizes BWG construction, whose merge is deterministic.
 
-    Every search is deterministic: entries are ordered by activity
-    (bumped on every clause mention) with identifier ties, no wall clock
-    or randomness enters, and [domains] only parallelizes BWG
-    construction, whose merge is deterministic. *)
+    A removable atom is a {!Reduction.removed} entry: "a packet destined
+    [dest] whose header occupies [head] may wait on / move to [target]" —
+    of the waiting rule ({!synthesize}) or of the widened routing
+    relation ({!repair}). *)
 
 open Dfr_network
 open Dfr_routing
 open Dfr_core
-
-type entry = { head : int; dest : int; target : int }
-(** "A packet destined [dest] whose header occupies [head] may wait on /
-    move to [target]" — one removable atom of the waiting rule
-    ({!synthesize}) or of the widened routing relation ({!repair}). *)
-
-type stats = {
-  rebuilds : int;  (** BWG (re)constructions, the search's cost unit *)
-  decisions : int;  (** branch choices taken *)
-  conflicts : int;  (** True Cycles discovered by probes *)
-  learned : int;  (** distinct blocking clauses recorded *)
-  pruned : int;  (** candidates rejected by a learned clause, no rebuild *)
-  restored : int;  (** removals undone by greedy minimization *)
-}
 
 type success = {
   space : State_space.t;
@@ -59,20 +42,21 @@ type success = {
           repaired relation; {!synthesize} passes the input through *)
   bwg : Bwg.t;  (** the final candidate BWG: wait-connected, no True Cycle
                     found (exhaustively, for the verified paths) *)
-  full_bwg : Bwg.t option;
-      (** {!synthesize} only: the unreduced BWG, for overlay rendering *)
+  full_bwg : Bwg.t Lazy.t option;
+      (** {!synthesize} only: the unreduced BWG, for overlay rendering;
+          built on first use *)
   algo : Algo.t;  (** the input algorithm with the synthesized rule wired
                       in via {!Algo.with_waits} / {!Algo.with_relation} *)
-  removed : entry list;  (** ascending; relative to the full waiting rule
-                             ({!synthesize}) or widened relation
-                             ({!repair}) *)
+  removed : Reduction.removed list;
+      (** ascending; relative to the full waiting rule ({!synthesize}) or
+          widened relation ({!repair}) *)
   widened : int;
       (** {!repair}: route entries the virtual-copy widening added on top
           of the original relation; [0] for {!synthesize} *)
   spec : (string, string) result;
       (** the result reprinted as a checkable [.dfr]
           ({!Dfr_spec.Printer}) *)
-  stats : stats;
+  stats : Reduction.stats;  (** the search's counters *)
 }
 
 type outcome =
@@ -94,11 +78,13 @@ val synthesize :
   ?minimize:bool ->
   State_space.t ->
   outcome
-(** Find a BWG' for the algorithm of [space].  [budget] caps BWG rebuilds
-    (default 4000).  [minimize] (default false) runs a greedy restore
-    pass so the removed set is 1-minimal — the form {!certify} expects.
-    An algorithm whose full BWG is already True-Cycle-free synthesizes
-    with [removed = \[\]]. *)
+(** Find a BWG' for the algorithm of [space]: the [Unsat] prechecks
+    (stuck states, an empty waiting set, a knot), then
+    {!Reduction.search}.  [budget] caps BWG rebuilds (default 4000).
+    [minimize] (default false) runs a greedy restore pass so the removed
+    set is 1-minimal — the form {!certify} expects.  An algorithm whose
+    full BWG is already True-Cycle-free synthesizes with
+    [removed = \[\]]. *)
 
 val repair :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
@@ -126,7 +112,7 @@ val repair :
     {!Checker.verdict} before being reported. *)
 
 type cert_item = {
-  relaxed : entry;
+  relaxed : Reduction.removed;
   cycle : int list;
   packets : Cycle_class.packet list;
 }
@@ -135,7 +121,7 @@ type cert_item = {
 
 type certification =
   | Maximal of cert_item list  (** one witness per removed entry *)
-  | Relaxable of entry list
+  | Relaxable of Reduction.removed list
       (** these removals were unnecessary: re-admitting any one of them
           leaves the BWG' True-Cycle-free *)
   | Cert_unknown of string  (** a classification cap hit *)
@@ -145,7 +131,7 @@ val certify :
   ?class_limits:Cycle_class.limits ->
   ?domains:int ->
   State_space.t ->
-  removed:entry list ->
+  removed:Reduction.removed list ->
   certification
 (** Theorem-6-style maximality: for each entry of [removed], rebuild the
     BWG with that single entry restored and demand a True Cycle.  Run it
@@ -155,7 +141,7 @@ val replay :
   ?class_limits:Cycle_class.limits ->
   ?domains:int ->
   State_space.t ->
-  removed:entry list ->
+  removed:Reduction.removed list ->
   cert_item ->
   bool
 (** Independent check of one certificate: rebuild the relaxed BWG from
@@ -169,4 +155,4 @@ val bwg_prime_dot : success -> string
     edges solid and removed edges dashed, vertex labels in the paper's
     buffer notation. *)
 
-val describe_entry : Net.t -> entry -> string
+val describe_entry : Net.t -> Reduction.removed -> string

@@ -347,11 +347,30 @@ let test_theorem3_search_without_hint () =
      on a small mesh *)
   let bare = { Mesh_saf.two_buffer with Algo.reduced_waits = None } in
   let net = Net.store_and_forward (Topology.mesh [| 2; 2 |]) ~classes:2 in
-  match Checker.verdict net bare with
+  (match Checker.verdict net bare with
   | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint; removed; _ }) ->
     check Alcotest.bool "by search" false via_hint;
     check Alcotest.bool "removed some waits" true (removed <> [])
-  | v -> Alcotest.failf "expected search-found BWG', got %a" (Checker.pp_verdict net) v
+  | v -> Alcotest.failf "expected search-found BWG', got %a" (Checker.pp_verdict net) v);
+  (* the 6x6 mesh, SAF and VCT: the checker and the synthesizer run the
+     same engine, so both must find the BWG' *)
+  List.iter
+    (fun (label, net) ->
+      (match Checker.verdict net bare with
+      | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint = false; _ }) -> ()
+      | v ->
+        Alcotest.failf "%s: expected search-found BWG', got %a" label
+          (Checker.pp_verdict net) v);
+      match Dfr_synth.Synth.synthesize (State_space.build net bare) with
+      | Dfr_synth.Synth.Synthesized _ -> ()
+      | Dfr_synth.Synth.Unsat why | Dfr_synth.Synth.Gave_up why ->
+        Alcotest.failf "%s: synthesis failed: %s" label why
+      | Dfr_synth.Synth.Already_free _ -> Alcotest.failf "%s: Already_free" label)
+    [
+      ("two-buffer@mesh:6x6", Net.store_and_forward (Topology.mesh [| 6; 6 |]) ~classes:2);
+      ( "two-buffer-vct@mesh:6x6",
+        Net.virtual_cut_through (Topology.mesh [| 6; 6 |]) ~classes:2 );
+    ]
 
 let test_theorem6_relaxation_deadlocks () =
   match Checker.verdict cube2 Hypercube_wormhole.efa_relaxed with

@@ -237,3 +237,97 @@ let suite =
       Alcotest.test_case "fuzz ring (25 relations)" `Quick test_fuzz_ring;
       Alcotest.test_case "fuzz torus 3x3 (12 relations)" `Quick test_fuzz_torus;
     ]
+
+(* ---------------- exact Theorem-3 reference ---------------- *)
+
+(* Generated multi-wait designs that reach the Theorem-3 search, decided
+   again by brute force.  A BWG' that has no True Cycle keeps none when
+   entries are removed (routes are fixed, so the property is monotone),
+   so some wait-connected BWG' without a True Cycle exists iff some
+   choice of exactly one wait per state has none.  Designs with at most
+   2^10 such choices are enumerated completely; the checker must find a
+   BWG' exactly when the enumeration does. *)
+let one_wait_choices space =
+  let states = ref [] in
+  State_space.iter_reachable space (fun ~buf ~dest ->
+      match State_space.waits space ~buf ~dest with
+      | [] -> ()
+      | ws -> states := (buf, dest, Array.of_list ws) :: !states);
+  Array.of_list (List.rev !states)
+
+let exists_free_choice space states =
+  let n = Array.length states in
+  let pick = Array.make n 0 in
+  let index = Hashtbl.create 64 in
+  Array.iteri (fun i (buf, dest, _) -> Hashtbl.replace index (buf, dest) i) states;
+  let wait_sets ~buf ~dest =
+    match Hashtbl.find_opt index (buf, dest) with
+    | Some i ->
+      let _, _, ws = states.(i) in
+      [ ws.(pick.(i)) ]
+    | None -> []
+  in
+  let free () =
+    match Reduction.true_cycle_status (Bwg.build ~wait_sets space) with
+    | Ok None -> true
+    | Ok (Some _) -> false
+    | Error reason -> Alcotest.failf "reference probe hit a cap: %s" reason
+  in
+  (* odometer over the choices *)
+  let rec next i =
+    if i >= n then false
+    else
+      let _, _, ws = states.(i) in
+      if pick.(i) + 1 < Array.length ws then begin
+        pick.(i) <- pick.(i) + 1;
+        true
+      end
+      else begin
+        pick.(i) <- 0;
+        next (i + 1)
+      end
+  in
+  let rec go () = free () || (next 0 && go ()) in
+  go ()
+
+let test_theorem3_exact_reference () =
+  let reduced = ref 0 and refuted = ref 0 in
+  for seed = 1 to 4000 do
+    let case = Dfr_fuzz.Gen.case (Dfr_util.Prng.create seed) ~max_nodes:6 in
+    if Dfr_fuzz.Case.deliverable case then begin
+      let net, algo = Dfr_fuzz.Case.to_net_algo case in
+      let searched =
+        match Checker.verdict net algo with
+        | Checker.Deadlock_free (Checker.Reduced_bwg _) -> Some true
+        | Checker.Deadlock_possible (Checker.No_reduction _) -> Some false
+        | _ -> None
+      in
+      match searched with
+      | None -> ()
+      | Some found ->
+        let space = State_space.build net algo in
+        let states = one_wait_choices space in
+        let log2_choices =
+          Array.fold_left
+            (fun acc (_, _, ws) ->
+              acc +. Float.log2 (float_of_int (Array.length ws)))
+            0. states
+        in
+        if log2_choices <= 10. then begin
+          incr (if found then reduced else refuted);
+          check Alcotest.bool
+            (Printf.sprintf "seed %d (%s): BWG' exists" seed algo.Algo.name)
+            (exists_free_choice space states) found
+        end
+    end
+  done;
+  (* both directions of the equivalence are exercised *)
+  check Alcotest.bool "enough reduced designs compared" true (!reduced >= 10);
+  check Alcotest.bool "enough refuted designs compared" true (!refuted >= 10)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "Theorem-3 search matches one-wait enumeration" `Quick
+        test_theorem3_exact_reference;
+    ]

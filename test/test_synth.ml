@@ -86,7 +86,9 @@ let test_registry_agreement () =
     Registry.all
 
 let removed_key (s : Synth.success) =
-  List.map (fun e -> (e.Synth.head, e.Synth.dest, e.Synth.target)) s.Synth.removed
+  List.map
+    (fun e -> (e.Reduction.head, e.Reduction.dest, e.Reduction.target))
+    s.Synth.removed
 
 let spec_key (s : Synth.success) =
   match s.Synth.spec with Ok src -> src | Error e -> "ERR:" ^ e
