@@ -18,37 +18,8 @@ open Dfr_routing
 open Dfr_core
 open Dfr_sim
 open Dfr_serve
-
-(* ------------------------------------------------------------------ *)
-(* shared argument parsing                                             *)
-
-let parse_topology s =
-  (* shared with the spec language's `topology' clause *)
-  match Topology.of_string s with
-  | Ok t -> Ok t
-  | Error msg -> Error (`Msg msg)
-
-let topology_conv =
-  Arg.conv ((fun s -> parse_topology s), fun fmt t -> Format.fprintf fmt "%s" (Topology.name t))
-
-let topo_arg =
-  let doc =
-    "Topology: hypercube:N, mesh:AxBx..., torus:AxBx... or ring:N.  Defaults \
-     to a small topology fitting the algorithm."
-  in
-  Arg.(value & opt (some topology_conv) None & info [ "t"; "topology" ] ~doc)
-
-let algo_arg =
-  let doc = "Routing algorithm (see `dfcheck list')." in
-  Arg.(required & opt (some string) None & info [ "a"; "algorithm" ] ~doc)
-
-let lookup name =
-  match Registry.find name with
-  | Some e -> Ok e
-  | None ->
-    Error
-      (Printf.sprintf "unknown algorithm %S; known: %s" name
-         (String.concat ", " (Registry.names ())))
+module Problem = Dfr_spec.Problem
+module Obs = Dfr_obs.Obs
 
 (* Exit codes (kept machine-checkable, see test/cli_exit_codes.sh):
      0  deadlock-free / success
@@ -59,83 +30,227 @@ let lookup name =
    serve protocol reports the same numbers. *)
 
 (* ------------------------------------------------------------------ *)
-(* observability: --trace / --metrics on the checking subcommands      *)
+(* shared terms: each flag is defined once, whichever subcommands take it *)
 
-module Obs = Dfr_obs.Obs
+let topo_arg =
+  let doc =
+    "Topology: " ^ Topology.grammar_summary
+    ^ ".  Defaults to a small topology fitting the algorithm."
+  in
+  Arg.(value & opt (some string) None & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace_event timeline of this run to $(docv) \
-           (open in chrome://tracing or Perfetto).")
+let algo_info =
+  Arg.info [ "a"; "algorithm" ] ~docv:"NAME" ~doc:"Routing algorithm (see `dfcheck list')."
 
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Collect counters and gauges; JSON reports gain a $(b,metrics) \
-           field, text output is followed by a metrics block.")
+let algo_arg = Arg.(required & opt (some string) None & algo_info)
 
-let obs_setup ~trace ~metrics = if trace <> None || metrics then Obs.enable ()
+(* check, bwg and simulate: a catalogue algorithm, optionally placed *)
+let named_arg =
+  Term.(const (fun algo topology -> Problem.Named { algo; topology }) $ algo_arg $ topo_arg)
 
-let obs_teardown ~trace =
-  match trace with
+(* scenario, synth and client take either -a or --spec; each command says
+   itself how many of the sources given it accepts *)
+let sources_arg ~topology =
+  let algo = Arg.(value & opt (some string) None & algo_info) in
+  let spec =
+    Arg.(value & opt (some file) None
+         & info [ "spec" ] ~docv:"FILE" ~doc:"Problem from a .dfr spec instead of the catalogue.")
+  in
+  let given topology algo spec =
+    List.filter_map Fun.id
+      [ Option.map (fun algo -> Problem.Named { algo; topology }) algo;
+        Option.map (fun file -> Problem.Spec_file file) spec ]
+  in
+  if topology then Term.(const given $ topo_arg $ algo $ spec)
+  else Term.(const (given None) $ algo $ spec)
+
+let spec_file_arg =
+  let doc = "Network/routing specification (.dfr file; see DESIGN.md for the grammar)." in
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Print the result as JSON.")
+
+let output_arg =
+  Arg.(value & opt (some string) None
+       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the output to $(docv) instead of stdout.")
+
+(* serve keeps its own --domains, where 0 means auto-size *)
+let domains_arg =
+  let positive =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (Printf.sprintf "%S is not a positive integer" s)),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt positive 1
+       & info [ "domains" ] ~docv:"N"
+           ~doc:
+             "Run the checks with this many OCaml domains; the output is \
+              bit-for-bit independent of it.")
+
+let replay_arg =
+  Arg.(value & flag & info [ "replay" ] ~doc:"Replay a deadlock verdict in the simulator.")
+
+let certificate_arg =
+  Arg.(value & flag & info [ "certificate" ] ~doc:"Print a full proof certificate.")
+
+let seed_arg =
+  Arg.(value & opt int 1
+       & info [ "seed" ]
+           ~doc:"PRNG seed; the run is a pure function of it and the other flags.")
+
+let rate_arg =
+  Arg.(value & opt float 0.05 & info [ "r"; "rate" ] ~doc:"Packets per node per cycle.")
+
+let length_arg = Arg.(value & opt int 8 & info [ "l"; "length" ] ~doc:"Packet length in flits.")
+
+let horizon_arg =
+  Arg.(value & opt int 2000 & info [ "horizon" ] ~doc:"Injection horizon in cycles.")
+
+let write_file path text = Out_channel.with_open_text path (fun oc -> output_string oc text)
+
+let write_or_print output what content =
+  match output with
+  | None -> print_string content
   | Some file ->
-    Obs.write_trace file;
-    Printf.eprintf "wrote trace %s\n%!" file
-  | None -> ()
+    write_file file content;
+    Printf.printf "wrote %s (%s)\n" file what
+
+(* ------------------------------------------------------------------ *)
+(* observability: --trace / --metrics                                  *)
+
+type obs = { trace : string option; metrics : bool }
+
+let obs_arg =
+  let trace =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"FILE"
+             ~doc:
+               "Write a Chrome trace_event timeline of this run to $(docv) \
+                (open in chrome://tracing or Perfetto).")
+  in
+  let metrics =
+    Arg.(value & flag
+         & info [ "metrics" ]
+             ~doc:
+               "Collect counters and gauges; JSON reports gain a $(b,metrics) \
+                field, text output is followed by a metrics block.")
+  in
+  Term.(const (fun trace metrics -> { trace; metrics }) $ trace $ metrics)
+
+(* the trace is written however [f] ends *)
+let with_obs obs f =
+  if obs.trace <> None || obs.metrics then Obs.enable ();
+  Fun.protect f ~finally:(fun () ->
+      Option.iter
+        (fun file ->
+          Obs.write_trace file;
+          Printf.eprintf "wrote trace %s\n%!" file)
+        obs.trace)
 
 (* the report parser ignores unknown fields, so appending is compatible *)
-let with_metrics ~metrics doc =
-  match (metrics, doc) with
+let with_metrics obs doc =
+  match (obs.metrics, doc) with
   | true, Dfr_util.Json.Obj fields ->
     Dfr_util.Json.Obj (fields @ [ ("metrics", Obs.metrics_json ()) ])
   | _ -> doc
 
-let print_text_metrics ~metrics =
-  if metrics then
+let print_text_metrics obs =
+  if obs.metrics then
     Printf.printf "metrics:\n%s\n"
       (Dfr_util.Json.to_string_pretty (Obs.metrics_json ()))
+
+(* ------------------------------------------------------------------ *)
+(* running a command over one problem                                  *)
+
+(* An unresolvable problem is a usage error, in the resolver's words. *)
+let resolved source k =
+  match Problem.resolve source with
+  | Error e ->
+    prerr_endline (Problem.message e);
+    2
+  | Ok p -> k p
+
+(* So is an algorithm that rejects the network it is given (hop-class on
+   a mesh whose diameter needs more buffer classes): its route function
+   raises when the relation is first evaluated. *)
+let run_problem source k =
+  resolved source (fun p ->
+      match k p with
+      | code -> code
+      | exception (Invalid_argument msg | Failure msg) ->
+        Printf.eprintf "dfcheck: %s on %s: %s\n" p.Problem.name
+          (Net.name p.Problem.net) msg;
+        2)
 
 (* The one place a report becomes terminal output: `check', `spec check'
    and (through Report_json.of_outcome directly) the serve engine all
    agree on the JSON shape and the exit code. *)
-let run_check_report ~name ~replay ~certificate ~json ~domains ~trace ~metrics
-    net algo =
-  obs_setup ~trace ~metrics;
-  match Checker.check_result ~domains net algo with
-  | Error msg ->
-    (* the algorithm rejects the network (e.g. hop-class on a mesh whose
-       diameter needs more buffer classes): a usage error, not a crash *)
-    obs_teardown ~trace;
-    Printf.eprintf "dfcheck: %s on %s: %s\n" name (Net.name net) msg;
-    2
-  | Ok report -> (
-    if json then
-      print_endline
-        (Dfr_util.Json.to_string_pretty
-           (Report_json.of_outcome
-              ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
-              net algo report))
-    else if certificate then Certificate.print net algo report
-    else begin
-      Format.printf "%s on %s:@.  %a@." name (Net.name net)
-        (Checker.pp_verdict net) report.Checker.verdict;
-      print_text_metrics ~metrics
-    end;
-    (match report.Checker.verdict with
-    | Checker.Deadlock_possible failure when replay ->
-      (match Dfr_scenario.Scenario.replay net algo failure with
-      | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
-      | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
-      | None -> Format.printf "  replay: nothing to replay for this failure@.")
-    | _ -> ());
-    obs_teardown ~trace;
-    Report_json.exit_code report.Checker.verdict)
+let check_problem ~replay ~certificate ~json ~domains ~obs (p : Problem.t) =
+  with_obs obs @@ fun () ->
+  let net = p.Problem.net and algo = p.Problem.algo in
+  let report = Checker.check ~domains net algo in
+  if json then
+    print_endline
+      (Dfr_util.Json.to_string_pretty
+         (Report_json.of_outcome
+            ?metrics:(if obs.metrics then Some (Obs.metrics_json ()) else None)
+            net algo report))
+  else if certificate then Certificate.print net algo report
+  else begin
+    Format.printf "%s on %s:@.  %a@." p.Problem.name (Net.name net)
+      (Checker.pp_verdict net) report.Checker.verdict;
+    print_text_metrics obs
+  end;
+  (match report.Checker.verdict with
+  | Checker.Deadlock_possible failure when replay ->
+    (match Dfr_scenario.Scenario.replay net algo failure with
+    | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
+    | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
+    | None -> Format.printf "  replay: nothing to replay for this failure@.")
+  | _ -> ());
+  Report_json.exit_code report.Checker.verdict
+
+(* `bwg' and `spec bwg': the buffer waiting graph as Graphviz DOT *)
+let bwg_problem output (p : Problem.t) =
+  let bwg = Bwg.build (State_space.build p.Problem.net p.Problem.algo) in
+  let g = Bwg.graph bwg in
+  write_or_print output
+    (Printf.sprintf "%d vertices, %d edges" (Dfr_graph.Digraph.num_vertices g)
+       (Dfr_graph.Digraph.num_edges g))
+    (Bwg.to_dot bwg);
+  0
+
+(* One simulator run, chosen by the network's switching mode.  [p100] is
+   the worst latency of a completed wormhole run. *)
+type sim_run = {
+  deadlocked : bool;
+  doc : Dfr_util.Json.t;
+  p100 : int option;
+  pp : Format.formatter -> unit;
+}
+
+let simulate_net ?(router = false) net algo traffic =
+  let nodes = Net.num_nodes net in
+  match Net.switching net with
+  | Net.Wormhole when router ->
+    let o = Router_sim.run net algo traffic in
+    { deadlocked = Router_sim.is_deadlocked o; doc = Sim_report.router o ~nodes;
+      p100 = None; pp = (fun fmt -> Router_sim.pp_outcome fmt o) }
+  | Net.Wormhole ->
+    let o = Wormhole_sim.run net algo traffic in
+    { deadlocked = Wormhole_sim.is_deadlocked o; doc = Sim_report.wormhole o ~nodes;
+      p100 =
+        (match o with
+        | Wormhole_sim.Completed stats -> Some (Stats.percentile_latency stats 1.0)
+        | _ -> None);
+      pp = (fun fmt -> Wormhole_sim.pp_outcome fmt o) }
+  | Net.Store_and_forward | Net.Virtual_cut_through ->
+    let o = Saf_sim.run net algo traffic in
+    { deadlocked = Saf_sim.is_deadlocked o; doc = Sim_report.saf o ~nodes;
+      p100 = None; pp = (fun fmt -> Saf_sim.pp_outcome fmt o) }
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -156,81 +271,27 @@ let list_cmd =
         Registry.all;
     0
   in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:
-               "Print the catalogue as JSON (the same document a serve \
-                instance returns for op $(b,catalogue)).")
-  in
   Cmd.v (Cmd.info "list" ~doc:"List the routing algorithms in the catalogue")
-    Term.(const run $ json)
+    Term.(const run $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
-let check_run name topo replay certificate json domains trace metrics =
-  match lookup name with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok e ->
-    let net = Registry.network_for e topo in
-    run_check_report ~name:e.Registry.name ~replay ~certificate ~json ~domains
-      ~trace ~metrics net e.Registry.algo
+let check_run source replay certificate json domains obs =
+  run_problem source (check_problem ~replay ~certificate ~json ~domains ~obs)
 
 let check_cmd =
-  let replay =
-    Arg.(value & flag & info [ "replay" ] ~doc:"Replay a deadlock verdict in the simulator.")
-  in
-  let certificate =
-    Arg.(value & flag
-         & info [ "certificate" ] ~doc:"Print a full proof certificate.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:
-               "Build the BWG and classify its cycles in parallel with this \
-                many OCaml domains.")
-  in
   Cmd.v (Cmd.info "check" ~doc:"Decide deadlock freedom with the BWG checker")
-    Term.(const check_run $ algo_arg $ topo_arg $ replay $ certificate $ json
-          $ domains $ trace_arg $ metrics_arg)
+    Term.(const check_run $ named_arg $ replay_arg $ certificate_arg $ json_arg
+          $ domains_arg $ obs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bwg: DOT export                                                     *)
 
-let bwg_run name topo output =
-  match lookup name with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok e ->
-    let net = Registry.network_for e topo in
-    let space = State_space.build net e.Registry.algo in
-    let bwg = Bwg.build space in
-    let dot = Bwg.to_dot bwg in
-    (match output with
-    | None -> print_string dot
-    | Some file ->
-      let oc = open_out file in
-      output_string oc dot;
-      close_out oc;
-      Printf.printf "wrote %s (%d vertices, %d edges)\n" file
-        (Dfr_graph.Digraph.num_vertices (Bwg.graph bwg))
-        (Dfr_graph.Digraph.num_edges (Bwg.graph bwg)));
-    0
-
 let bwg_cmd =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
-  in
   Cmd.v (Cmd.info "bwg" ~doc:"Export the buffer waiting graph as Graphviz DOT")
-    Term.(const bwg_run $ algo_arg $ topo_arg $ output)
+    Term.(const (fun source output -> run_problem source (bwg_problem output))
+          $ named_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* adaptiveness (Figure 3)                                             *)
@@ -267,25 +328,42 @@ let adaptiveness_cmd =
 (* ------------------------------------------------------------------ *)
 (* matrix: proof techniques side by side (E6)                          *)
 
-let matrix_run topo =
-  Printf.printf "%-24s %-12s %-14s %-12s %s\n" "algorithm" "dally-seitz"
-    "duato-cond" "bwg(paper)" "network";
-  List.iter
-    (fun (e : Registry.entry) ->
-      let net = Registry.network_for e topo in
-      let space = State_space.build net e.Registry.algo in
-      let ds = if Cdg.deadlock_free space then "certified" else "-" in
-      let dc = if Duato_condition.deadlock_free space then "certified" else "-" in
-      let bwg =
-        match Checker.verdict net e.Registry.algo with
-        | Checker.Deadlock_free _ -> "certified"
-        | Checker.Deadlock_possible _ -> "deadlock"
-        | Checker.Unknown _ -> "unknown"
-      in
-      Printf.printf "%-24s %-12s %-14s %-12s %s\n" e.Registry.name ds dc bwg
-        (Net.name net))
-    Registry.all;
-  0
+let matrix_run topology =
+  match
+    List.partition_map
+      (fun (e : Registry.entry) ->
+        match Problem.resolve (Problem.Named { algo = e.Registry.name; topology }) with
+        | Ok p -> Left p
+        | Error e -> Right e)
+      Registry.all
+  with
+  | _, e :: _ ->
+    prerr_endline (Problem.message e);
+    2
+  | problems, [] ->
+    Printf.printf "%-24s %-12s %-14s %-12s %s\n" "algorithm" "dally-seitz"
+      "duato-cond" "bwg(paper)" "network";
+    List.iter
+      (fun (p : Problem.t) ->
+        let certified b = if b then "certified" else "-" in
+        let ds, dc, bwg =
+          match
+            let space = State_space.build p.Problem.net p.Problem.algo in
+            ( certified (Cdg.deadlock_free space),
+              certified (Duato_condition.deadlock_free space),
+              match Checker.verdict p.Problem.net p.Problem.algo with
+              | Checker.Deadlock_free _ -> "certified"
+              | Checker.Deadlock_possible _ -> "deadlock"
+              | Checker.Unknown _ -> "unknown" )
+          with
+          | cols -> cols
+          (* a row whose algorithm rejects the network *)
+          | exception (Invalid_argument _ | Failure _) -> ("n/a", "n/a", "n/a")
+        in
+        Printf.printf "%-24s %-12s %-14s %-12s %s\n" p.Problem.name ds dc bwg
+          (Net.name p.Problem.net))
+      problems;
+    0
 
 let matrix_cmd =
   Cmd.v
@@ -309,24 +387,19 @@ let parse_pattern = function
 
 let pattern_conv = Arg.conv (parse_pattern, fun fmt _ -> Format.fprintf fmt "<pattern>")
 
-let simulate_run name topo pattern rate length horizon seed router json trace
-    metrics =
-  match lookup name with
-  | Error msg ->
-    prerr_endline msg;
+let simulate_run source pattern rate length horizon seed router json obs =
+  run_problem source @@ fun p ->
+  let net = p.Problem.net in
+  let nodes = Net.num_nodes net in
+  (* user-supplied hotspot nodes are range-checked here so a bad value
+     is a usage error (exit 2), not an out-of-bounds injection *)
+  match pattern with
+  | Traffic.Hotspot h when h < 0 || h >= nodes ->
+    Printf.eprintf "hotspot node %d out of range 0..%d for %s\n" h (nodes - 1)
+      (Net.name net);
     2
-  | Ok e -> (
-    let net = Registry.network_for e topo in
-    let nodes = Net.num_nodes net in
-    (* user-supplied hotspot nodes are range-checked here so a bad value
-       is a usage error (exit 2), not an out-of-bounds injection *)
-    match pattern with
-    | Traffic.Hotspot h when h < 0 || h >= nodes ->
-      Printf.eprintf "hotspot node %d out of range 0..%d for %s\n" h (nodes - 1)
-        (Net.name net);
-      2
-    | _ ->
-    obs_setup ~trace ~metrics;
+  | _ ->
+    with_obs obs @@ fun () ->
     let t =
       match Net.topology net with
       | Some t -> t
@@ -336,62 +409,31 @@ let simulate_run name topo pattern rate length horizon seed router json trace
     if not json then
       Printf.printf "workload: %d packets over %d cycles\n" (Traffic.count traffic)
         horizon;
-    let deadlocked, doc =
-      match Net.switching net with
-      | Net.Wormhole when router ->
-        let o = Router_sim.run net e.Registry.algo traffic in
-        if not json then Format.printf "%a@." Router_sim.pp_outcome o;
-        (Router_sim.is_deadlocked o, Sim_report.router o ~nodes)
-      | Net.Wormhole ->
-        let o = Wormhole_sim.run net e.Registry.algo traffic in
-        if not json then Format.printf "%a@." Wormhole_sim.pp_outcome o;
-        (Wormhole_sim.is_deadlocked o, Sim_report.wormhole o ~nodes)
-      | Net.Store_and_forward | Net.Virtual_cut_through ->
-        let o = Saf_sim.run net e.Registry.algo traffic in
-        if not json then Format.printf "%a@." Saf_sim.pp_outcome o;
-        (Saf_sim.is_deadlocked o, Sim_report.saf o ~nodes)
-    in
+    let sim = simulate_net ~router net p.Problem.algo traffic in
     if json then
-      print_endline (Dfr_util.Json.to_string_pretty (with_metrics ~metrics doc))
-    else print_text_metrics ~metrics;
-    obs_teardown ~trace;
-    if deadlocked then 1 else 0)
+      print_endline (Dfr_util.Json.to_string_pretty (with_metrics obs sim.doc))
+    else begin
+      Format.printf "%t@." sim.pp;
+      print_text_metrics obs
+    end;
+    if sim.deadlocked then 1 else 0
 
 let simulate_cmd =
   let pattern =
     Arg.(value & opt pattern_conv Traffic.Uniform & info [ "p"; "pattern" ] ~doc:"Traffic pattern.")
   in
-  let rate =
-    Arg.(value & opt float 0.05 & info [ "r"; "rate" ] ~doc:"Packets per node per cycle.")
-  in
-  let length = Arg.(value & opt int 8 & info [ "l"; "length" ] ~doc:"Packet length in flits.") in
-  let horizon =
-    Arg.(value & opt int 2000 & info [ "horizon" ] ~doc:"Injection horizon in cycles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let router =
     Arg.(value & flag
          & info [ "router" ]
              ~doc:"Use the pipelined credit-based router model instead of \
                    the plain flit simulator.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the outcome as JSON.")
-  in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the flit-level simulator on a workload")
-    Term.(const simulate_run $ algo_arg $ topo_arg $ pattern $ rate $ length
-          $ horizon $ seed $ router $ json $ trace_arg $ metrics_arg)
+    Term.(const simulate_run $ named_arg $ pattern $ rate_arg $ length_arg
+          $ horizon_arg $ seed_arg $ router $ json_arg $ obs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* scenario: fault campaigns, adversarial traffic, latency bounds      *)
-
-(* also the spec section's loader, hoisted here because scenario shares it *)
-let with_spec file k =
-  match Dfr_spec.Spec.load_file file with
-  | Error e ->
-    prerr_endline (Dfr_spec.Spec.error_to_string ~file e);
-    2
-  | Ok spec -> k spec
 
 module Fault = Dfr_scenario.Fault
 module Degrade = Dfr_scenario.Degrade
@@ -521,47 +563,21 @@ let scenario_workload ~traffic ~rate ~length ~horizon ~seed ~report fnet =
         "--traffic seeking needs a deadlock verdict on the final degraded \
          instance")
 
-let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
-    ~traffic ~rate ~length ~horizon ~seed ~latency ~json ~trace ~metrics =
-  let with_instance k =
-    match (spec_file, algo_name) with
-    | Some file, None ->
-      with_spec file (fun spec ->
-          k spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo)
-    | None, Some name -> (
-      match lookup name with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok e -> k (Registry.network_for e topo) e.Registry.algo)
-    | _ ->
-      prerr_endline
-        "dfcheck scenario: give exactly one of --spec FILE or -a NAME";
-      2
-  in
-  if domains < 1 then begin
-    prerr_endline "dfcheck scenario: --domains must be >= 1";
-    2
-  end
-  else
-    with_instance (fun net algo ->
+let scenario_exec ~mode ~plan_file ~sources ~cold ~domains ~traffic ~rate
+    ~length ~horizon ~seed ~latency ~json ~obs =
+  match sources with
+  | [ source ] ->
+    resolved source (fun { Problem.net; algo; _ } ->
         match Fault.load_file plan_file with
         | Error msg ->
           prerr_endline ("dfcheck scenario: " ^ msg);
           2
         | Ok plan -> (
-          obs_setup ~trace ~metrics;
-          let finish code =
-            obs_teardown ~trace;
-            code
-          in
+          with_obs obs @@ fun () ->
           match Scenario.campaign ~domains ~cold ~mode net algo plan with
-          | exception Invalid_argument msg ->
+          | exception Invalid_argument msg | Error msg ->
             prerr_endline ("dfcheck scenario: " ^ msg);
-            finish 2
-          | Error msg ->
-            prerr_endline ("dfcheck scenario: " ^ msg);
-            finish 2
+            2
           | Ok c ->
             let extras () =
               if traffic = T_none && not latency then
@@ -579,25 +595,7 @@ let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
                   with
                   | exception Invalid_argument msg -> Error msg
                   | workload ->
-                    let sim =
-                      Option.map
-                        (fun w ->
-                          match Net.switching fnet with
-                          | Net.Wormhole -> (
-                            let o = Wormhole_sim.run fnet falgo w in
-                            ( Wormhole_sim.is_deadlocked o,
-                              Sim_report.wormhole o ~nodes:(Net.num_nodes fnet),
-                              match o with
-                              | Wormhole_sim.Completed stats ->
-                                Some (Stats.percentile_latency stats 1.0)
-                              | _ -> None ))
-                          | Net.Store_and_forward | Net.Virtual_cut_through ->
-                            let o = Saf_sim.run fnet falgo w in
-                            ( Saf_sim.is_deadlocked o,
-                              Sim_report.saf o ~nodes:(Net.num_nodes fnet),
-                              None ))
-                        workload
-                    in
+                    let sim = Option.map (simulate_net fnet falgo) workload in
                     let lat =
                       if not latency then None
                       else begin
@@ -629,11 +627,11 @@ let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
                     let fields =
                       (match sim with
                       | None -> []
-                      | Some (_, doc, _) -> [ ("traffic", doc) ])
+                      | Some sim -> [ ("traffic", sim.doc) ])
                       @
                       match (lat, sim) with
                       | None, _ -> []
-                      | Some b, Some (_, _, Some observed) ->
+                      | Some b, Some { p100 = Some observed; _ } ->
                         [
                           ( "latency",
                             Dfr_util.Json.Obj
@@ -651,14 +649,14 @@ let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
                       | Some b, _ -> [ ("latency", Latency.to_json b) ]
                     in
                     let sim_exit =
-                      match sim with Some (true, _, _) -> 1 | _ -> 0
+                      match sim with Some { deadlocked = true; _ } -> 1 | _ -> 0
                     in
                     Ok (fields, max c.Scenario.exit_code sim_exit))
             in
             (match extras () with
             | Error msg ->
               prerr_endline ("dfcheck scenario: " ^ msg);
-              finish 2
+              2
             | Ok (extra, exit_code) ->
               (if json then
                  let doc =
@@ -668,7 +666,7 @@ let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
                    | j -> j
                  in
                  print_endline
-                   (Dfr_util.Json.to_string_pretty (with_metrics ~metrics doc))
+                   (Dfr_util.Json.to_string_pretty (with_metrics obs doc))
                else begin
                  print_campaign_text c;
                  List.iter
@@ -676,9 +674,12 @@ let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
                      Format.printf "%s:@.%s@." k
                        (Dfr_util.Json.to_string_pretty v))
                    extra;
-                 print_text_metrics ~metrics
+                 print_text_metrics obs
                end);
-              finish exit_code)))
+              exit_code)))
+  | _ ->
+    prerr_endline "dfcheck scenario: give exactly one of --spec FILE or -a NAME";
+    2
 
 let scenario_cmd =
   let plan_arg =
@@ -686,19 +687,6 @@ let scenario_cmd =
       required
       & opt (some file) None
       & info [ "plan" ] ~docv:"FILE" ~doc:"Fault plan (.plan file).")
-  in
-  let spec_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE"
-          ~doc:"Instance from a .dfr spec instead of the catalogue.")
-  in
-  let algo_name =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "a"; "algorithm" ] ~doc:"Catalogue algorithm (see `dfcheck list').")
   in
   let cold =
     Arg.(
@@ -708,11 +696,6 @@ let scenario_cmd =
             "Re-check every fault from scratch instead of riding one \
              incremental session.  Same bytes, k times the cost — the \
              determinism tests diff the two.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~doc:"Checker parallelism, as in `check'.")
   in
   let traffic =
     Arg.(
@@ -725,19 +708,6 @@ let scenario_cmd =
              $(b,hotspot:N)|$(b,bursty:B)|$(b,storm:D1,D2,...)|\
              $(b,permutation)|$(b,seeking)|$(b,none).")
   in
-  let rate =
-    Arg.(
-      value & opt float 0.05
-      & info [ "r"; "rate" ] ~doc:"Packets per node per cycle.")
-  in
-  let length =
-    Arg.(value & opt int 8 & info [ "l"; "length" ] ~doc:"Packet length in flits.")
-  in
-  let horizon =
-    Arg.(
-      value & opt int 2000 & info [ "horizon" ] ~doc:"Injection horizon in cycles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let latency =
     Arg.(
       value & flag
@@ -747,19 +717,16 @@ let scenario_cmd =
              final degraded instance, cross-checked against the simulated \
              p100 when both exist.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the campaign as JSON.")
-  in
-  let run mode plan_file spec_file algo_name topo cold domains traffic rate
-      length horizon seed latency json trace metrics =
-    scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
-      ~traffic ~rate ~length ~horizon ~seed ~latency ~json ~trace ~metrics
+  let run mode plan_file sources cold domains traffic rate length horizon seed
+      latency json obs =
+    scenario_exec ~mode ~plan_file ~sources ~cold ~domains ~traffic ~rate
+      ~length ~horizon ~seed ~latency ~json ~obs
   in
   let term mode =
     Term.(
-      const (run mode) $ plan_arg $ spec_arg $ algo_name $ topo_arg $ cold
-      $ domains $ traffic $ rate $ length $ horizon $ seed $ latency $ json
-      $ trace_arg $ metrics_arg)
+      const (run mode) $ plan_arg $ sources_arg ~topology:true $ cold
+      $ domains_arg $ traffic $ rate_arg $ length_arg $ horizon_arg $ seed_arg
+      $ latency $ json_arg $ obs_arg)
   in
   Cmd.group
     (Cmd.info "scenario"
@@ -787,43 +754,31 @@ let scenario_cmd =
 (* ------------------------------------------------------------------ *)
 (* spec: user-supplied .dfr networks, no recompilation needed          *)
 
-let spec_file_arg =
-  let doc = "Network/routing specification (.dfr file; see DESIGN.md for the grammar)." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-
 (* `spec check --base OLD.dfr NEW.dfr`: build an incremental session on
    the base, re-derive only the destinations the edit touched, and print
    the JSON report — byte-identical to a cold `spec check --json` of the
    edited file (Incr's contract).  The delta summary goes to stderr so
    stdout stays a parseable report either way. *)
-let spec_check_delta ~base_file ~file ~domains ~trace ~metrics =
-  with_spec base_file (fun bspec ->
-      with_spec file (fun spec ->
-          obs_setup ~trace ~metrics;
-          let finish code =
-            obs_teardown ~trace;
-            code
-          in
+let spec_check_delta ~base_file ~file ~domains ~obs =
+  resolved (Problem.Spec_file base_file) (fun b ->
+      resolved (Problem.Spec_file file) (fun p ->
+          with_obs obs @@ fun () ->
           let cold reason =
             Printf.eprintf "delta: %s; checking cold\n%!" reason;
-            let report =
-              Checker.check ~domains spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo
-            in
+            let report = Checker.check ~domains p.Problem.net p.Problem.algo in
             print_endline
               (Dfr_util.Json.to_string_pretty
-                 (Report_json.of_outcome spec.Dfr_spec.Spec.net
-                    spec.Dfr_spec.Spec.algo report));
-            finish (Report_json.exit_code report.Checker.verdict)
+                 (Report_json.of_outcome p.Problem.net p.Problem.algo report));
+            Report_json.exit_code report.Checker.verdict
           in
-          let bval = bspec.Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec in
-          let eval = spec.Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec in
-          match Dfr_spec.Diff.diff bval eval with
+          let validated (p : Problem.t) =
+            (Option.get p.Problem.spec).Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec
+          in
+          match Dfr_spec.Diff.diff (validated b) (validated p) with
           | Dfr_spec.Diff.Incompatible reason -> cold ("base incompatible: " ^ reason)
           | Dfr_spec.Diff.Frontier f ->
-            let session, _ =
-              Incr.create ~domains bspec.Dfr_spec.Spec.net bspec.Dfr_spec.Spec.algo
-            in
-            (match Incr.update session spec.Dfr_spec.Spec.algo ~dirty:f.Dfr_spec.Diff.dirty with
+            let session, _ = Incr.create ~domains b.Problem.net b.Problem.algo in
+            (match Incr.update session p.Problem.algo ~dirty:f.Dfr_spec.Diff.dirty with
             | exception Invalid_argument msg -> cold msg
             | res ->
               Printf.eprintf "delta: %s, %d/%d destinations re-derived\n%!"
@@ -833,25 +788,14 @@ let spec_check_delta ~base_file ~file ~domains ~trace ~metrics =
                 res.Incr.dirty_dests
                 (res.Incr.dirty_dests + res.Incr.reused_dests);
               print_endline (Dfr_util.Json.to_string_pretty res.Incr.report);
-              finish res.Incr.exit_code)))
+              res.Incr.exit_code)))
 
-let spec_check_run file base replay certificate json domains trace metrics =
+let spec_check_run file base replay certificate json domains obs =
   match base with
-  | Some base_file -> spec_check_delta ~base_file ~file ~domains ~trace ~metrics
-  | None ->
-    with_spec file (fun spec ->
-        let net = spec.Dfr_spec.Spec.net and algo = spec.Dfr_spec.Spec.algo in
-        run_check_report ~name:algo.Algo.name ~replay ~certificate ~json ~domains
-          ~trace ~metrics net algo)
+  | Some base_file -> spec_check_delta ~base_file ~file ~domains ~obs
+  | None -> check_run (Problem.Spec_file file) replay certificate json domains obs
 
 let spec_check_cmd =
-  let replay =
-    Arg.(value & flag & info [ "replay" ] ~doc:"Replay a deadlock verdict in the simulator.")
-  in
-  let certificate =
-    Arg.(value & flag & info [ "certificate" ] ~doc:"Print a full proof certificate.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.") in
   let base =
     Arg.(value & opt (some file) None
          & info [ "base" ] ~docv:"BASE"
@@ -862,54 +806,23 @@ let spec_check_cmd =
                 cold $(b,--json) check) on stdout and a delta summary on \
                 stderr; $(b,--replay) and $(b,--certificate) are ignored.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Build the BWG and classify its cycles in parallel with this many OCaml domains.")
-  in
   Cmd.v
     (Cmd.info "check" ~doc:"Decide deadlock freedom for a spec-defined network")
-    Term.(const spec_check_run $ spec_file_arg $ base $ replay $ certificate $ json
-          $ domains $ trace_arg $ metrics_arg)
-
-let write_or_print output what content =
-  match output with
-  | None -> print_string content
-  | Some file ->
-    let oc = open_out file in
-    output_string oc content;
-    close_out oc;
-    Printf.printf "wrote %s (%s)\n" file what
-
-let spec_bwg_run file output =
-  with_spec file (fun spec ->
-      let net = spec.Dfr_spec.Spec.net and algo = spec.Dfr_spec.Spec.algo in
-      let space = State_space.build net algo in
-      let bwg = Bwg.build space in
-      let g = Bwg.graph bwg in
-      write_or_print output
-        (Printf.sprintf "%d vertices, %d edges" (Dfr_graph.Digraph.num_vertices g)
-           (Dfr_graph.Digraph.num_edges g))
-        (Bwg.to_dot bwg);
-      0)
+    Term.(const spec_check_run $ spec_file_arg $ base $ replay_arg $ certificate_arg
+          $ json_arg $ domains_arg $ obs_arg)
 
 let spec_bwg_cmd =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
-  in
   Cmd.v
     (Cmd.info "bwg" ~doc:"Export a spec-defined network's buffer waiting graph as DOT")
-    Term.(const spec_bwg_run $ spec_file_arg $ output)
+    Term.(const (fun file output -> run_problem (Problem.Spec_file file) (bwg_problem output))
+          $ spec_file_arg $ output_arg)
 
 let spec_dot_run file bwg_prime output =
-  with_spec file (fun spec ->
+  run_problem (Problem.Spec_file file) (fun p ->
       if bwg_prime then begin
         (* the overlay needs a synthesized BWG': full BWG with the kept
            wait edges solid and the removed ones dashed *)
-        let net = spec.Dfr_spec.Spec.net and algo = spec.Dfr_spec.Spec.algo in
-        let space = State_space.build net algo in
+        let space = State_space.build p.Problem.net p.Problem.algo in
         match Dfr_synth.Synth.synthesize space with
         | Dfr_synth.Synth.Synthesized s ->
           write_or_print output
@@ -927,15 +840,12 @@ let spec_dot_run file bwg_prime output =
       end
       else begin
         write_or_print output
-          (Printf.sprintf "%d nodes" (Net.num_nodes spec.Dfr_spec.Spec.net))
-          (Dfr_spec.Spec.to_dot spec);
+          (Printf.sprintf "%d nodes" (Net.num_nodes p.Problem.net))
+          (Dfr_spec.Spec.to_dot (Option.get p.Problem.spec));
         0
       end)
 
 let spec_dot_cmd =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
-  in
   let bwg_prime =
     Arg.(value & flag
          & info [ "bwg-prime" ]
@@ -947,7 +857,7 @@ let spec_dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export a spec-defined network's channel graph as DOT")
-    Term.(const spec_dot_run $ spec_file_arg $ bwg_prime $ output)
+    Term.(const spec_dot_run $ spec_file_arg $ bwg_prime $ output_arg)
 
 let spec_cmd =
   Cmd.group
@@ -960,8 +870,8 @@ let spec_cmd =
 (* ------------------------------------------------------------------ *)
 (* audit: the whole catalogue, optionally as JSON                      *)
 
-let audit_run json domains trace metrics =
-  obs_setup ~trace ~metrics;
+let audit_run json domains obs =
+  with_obs obs @@ fun () ->
   let reports =
     List.map
       (fun (e : Registry.entry) ->
@@ -987,7 +897,7 @@ let audit_run json domains trace metrics =
     let doc =
       (* --metrics changes the top level from a list to an object so the
          aggregate counters have somewhere to live *)
-      if metrics then
+      if obs.metrics then
         Dfr_util.Json.Obj
           [ ("audit", Dfr_util.Json.List items);
             ("metrics", Obs.metrics_json ()) ]
@@ -1008,8 +918,7 @@ let audit_run json domains trace metrics =
         Format.printf "%-10s %-24s %a@." ok e.Registry.name
           (Checker.pp_verdict net) report.Checker.verdict)
       reports;
-  if not json then print_text_metrics ~metrics;
-  obs_teardown ~trace;
+  if not json then print_text_metrics obs;
   let mismatches =
     List.filter
       (fun ((e : Registry.entry), _, report) ->
@@ -1023,24 +932,16 @@ let audit_run json domains trace metrics =
   if mismatches = [] then 0 else 1
 
 let audit_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the audit as JSON.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:"Run each check in parallel with this many OCaml domains.")
-  in
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Check the entire catalogue against its expected verdicts")
-    Term.(const audit_run $ json $ domains $ trace_arg $ metrics_arg)
+    Term.(const audit_run $ json_arg $ domains_arg $ obs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential campaign of checker vs. simulators               *)
 
-let fuzz_run trials seed max_nodes domains out_dir trace metrics =
-  obs_setup ~trace ~metrics;
+let fuzz_run trials seed max_nodes domains out_dir obs =
+  with_obs obs @@ fun () ->
   let summary =
     Dfr_fuzz.Fuzz.run
       {
@@ -1064,15 +965,12 @@ let fuzz_run trials seed max_nodes domains out_dir trace metrics =
             Filename.concat dir
               (Printf.sprintf "fuzz-s%d-t%d.dfr" seed f.Dfr_fuzz.Fuzz.trial)
           in
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
+          write_file path text;
           Printf.printf "wrote %s\n" path
         | Error _ -> ())
       summary.Dfr_fuzz.Fuzz.findings
   | _ -> ());
-  print_text_metrics ~metrics;
-  obs_teardown ~trace;
+  print_text_metrics obs;
   if summary.Dfr_fuzz.Fuzz.findings = [] then 0 else 1
 
 let fuzz_cmd =
@@ -1080,22 +978,10 @@ let fuzz_cmd =
     Arg.(value & opt int 200
          & info [ "trials" ] ~doc:"Number of random cases to confront.")
   in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ]
-             ~doc:
-               "Campaign seed; the whole campaign is a pure function of \
-                (seed, trials, max-nodes), independent of --domains.")
-  in
   let max_nodes =
     Arg.(value & opt int 9
          & info [ "max-nodes" ]
              ~doc:"Largest generated network, in nodes (>= 4).")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:"Spread trials over this many OCaml domains.")
   in
   let out_dir =
     Arg.(value & opt (some string) None
@@ -1109,8 +995,8 @@ let fuzz_cmd =
           confronted with adversarial simulator schedules and witness replay; \
           disagreements are shrunk and printed as .dfr specs")
     Term.(
-      const fuzz_run $ trials $ seed $ max_nodes $ domains $ out_dir $ trace_arg
-      $ metrics_arg)
+      const fuzz_run $ trials $ seed_arg $ max_nodes $ domains_arg $ out_dir
+      $ obs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* synth: BWG' synthesis, restriction repair, optimality certificates  *)
@@ -1151,13 +1037,13 @@ let print_removed net removed =
 (* One problem's worth of output; returns the exit code.  [certify] is
    the optimal mode: prove the (minimized) removed set maximal and replay
    every per-entry witness certificate through the classifier. *)
-let synth_report ~label ~mode ~certify ~json ~output ~metrics net
+let synth_report ~label ~mode ~certify ~json ~output ~obs net
     (outcome : Synth.outcome) =
   let module J = Dfr_util.Json in
   let finish doc code =
     if json then
-      print_endline (J.to_string_pretty (with_metrics ~metrics doc))
-    else print_text_metrics ~metrics;
+      print_endline (J.to_string_pretty (with_metrics obs doc))
+    else print_text_metrics obs;
     code
   in
   let base verdict rest =
@@ -1199,23 +1085,12 @@ let synth_report ~label ~mode ~certify ~json ~output ~metrics net
     let spec_field, spec_code =
       match s.Synth.spec with
       | Ok text ->
-        if not json then begin
-          match output with
-          | Some file ->
-            let oc = open_out file in
-            output_string oc text;
-            close_out oc;
-            Printf.printf "  wrote %s (checkable with `dfcheck spec check')\n"
-              file
-          | None -> Printf.printf "  spec:\n%s" text
-        end
-        else
-          Option.iter
-            (fun file ->
-              let oc = open_out file in
-              output_string oc text;
-              close_out oc)
-            output;
+        (match output with
+        | Some file ->
+          write_file file text;
+          if not json then
+            Printf.printf "  wrote %s (checkable with `dfcheck spec check')\n" file
+        | None -> if not json then Printf.printf "  spec:\n%s" text);
         ([ ("spec", J.String text) ], 0)
       | Error msg ->
         if not json then
@@ -1297,71 +1172,58 @@ let synth_report ~label ~mode ~certify ~json ~output ~metrics net
              [ ("certification", J.String "maximal"); ("certificates", cert_json) ])
           (if all_ok then spec_code else 3))
 
-let synth_run mode name spec_file random_n seed max_nodes budget domains
-    minimize json output trace metrics =
+let synth_run mode sources random_n seed max_nodes budget domains minimize json
+    output obs =
   let mode_str =
     match mode with `Bwg -> "bwg" | `Repair -> "repair" | `Optimal -> "optimal"
   in
-  let problems =
-    match (name, spec_file, random_n) with
-    | Some a, None, None -> (
-      match lookup a with
-      | Error msg -> Error msg
-      | Ok e ->
-        let net = Registry.network_for e None in
-        Ok [ (a, net, e.Registry.algo) ])
-    | None, Some file, None -> (
-      match Dfr_spec.Spec.load_file file with
-      | Error e -> Error (Dfr_spec.Spec.error_to_string ~file e)
-      | Ok spec ->
-        Ok [ (file, spec.Dfr_spec.Spec.net, spec.Dfr_spec.Spec.algo) ])
-    | None, None, Some n when n > 0 ->
-      (* the fuzz generator as a design source: a deterministic stream of
-         multi-wait designs; undeliverable draws are skipped, not counted *)
-      let rng = Dfr_util.Prng.create seed in
-      let rec draw acc i attempts =
-        if i >= n || attempts > 100 * n then List.rev acc
-        else
-          let case = Dfr_fuzz.Gen.case rng ~max_nodes in
-          if Dfr_fuzz.Case.deliverable case then
-            let net, algo = Dfr_fuzz.Case.to_net_algo case in
-            draw ((Printf.sprintf "random[%d] %s" i algo.Algo.name, net, algo) :: acc)
-              (i + 1) (attempts + 1)
-          else draw acc i (attempts + 1)
-      in
-      Ok (draw [] 0 0)
-    | _ ->
-      Error
-        "exactly one problem source is required: -a NAME, --spec FILE or \
-         --random N"
+  let run problems =
+    with_obs obs @@ fun () ->
+    List.fold_left max 0
+      (List.map
+         (fun { Problem.name; net; algo; _ } ->
+           let outcome =
+             match mode with
+             | `Repair -> Synth.repair ~budget ~domains net algo
+             | `Bwg | `Optimal -> (
+               match State_space.build net algo with
+               | exception Invalid_argument msg ->
+                 Synth.Gave_up ("invalid algorithm/network pair: " ^ msg)
+               | space ->
+                 Synth.synthesize ~budget ~domains
+                   ~minimize:(minimize || mode = `Optimal)
+                   space)
+           in
+           synth_report ~label:name ~mode:mode_str ~certify:(mode = `Optimal) ~json
+             ~output ~obs net outcome)
+         problems)
   in
-  match problems with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok problems ->
-    obs_setup ~trace ~metrics;
-    let codes =
-      List.map
-        (fun (label, net, algo) ->
-          let outcome =
-            match mode with
-            | `Repair -> Synth.repair ~budget ~domains net algo
-            | `Bwg | `Optimal -> (
-              match State_space.build net algo with
-              | exception Invalid_argument msg ->
-                Synth.Gave_up ("invalid algorithm/network pair: " ^ msg)
-              | space ->
-                Synth.synthesize ~budget ~domains
-                  ~minimize:(minimize || mode = `Optimal)
-                  space)
-          in
-          synth_report ~label ~mode:mode_str ~certify:(mode = `Optimal) ~json
-            ~output ~metrics net outcome)
-        problems
+  match (sources, random_n) with
+  | [ source ], None ->
+    resolved source (fun p ->
+        (* a spec problem is labelled by its file *)
+        match source with
+        | Problem.Spec_file file -> run [ { p with Problem.name = file } ]
+        | _ -> run [ p ])
+  | [], Some n when n > 0 ->
+    (* the fuzz generator as a design source: a deterministic stream of
+       multi-wait designs; undeliverable draws are skipped, not counted *)
+    let rng = Dfr_util.Prng.create seed in
+    let rec draw acc i attempts =
+      if i >= n || attempts > 100 * n then List.rev acc
+      else
+        let case = Dfr_fuzz.Gen.case rng ~max_nodes in
+        if Dfr_fuzz.Case.deliverable case then
+          let net, algo = Dfr_fuzz.Case.to_net_algo case in
+          let name = Printf.sprintf "random[%d] %s" i algo.Algo.name in
+          draw ({ Problem.name; net; algo; spec = None } :: acc) (i + 1) (attempts + 1)
+        else draw acc i (attempts + 1)
     in
-    obs_teardown ~trace;
-    List.fold_left max 0 codes
+    run (draw [] 0 0)
+  | _ ->
+    prerr_endline
+      "exactly one problem source is required: -a NAME, --spec FILE or --random N";
+    2
 
 let synth_cmd =
   let mode =
@@ -1379,27 +1241,12 @@ let synth_cmd =
              every re-admitted entry yields a True-Cycle witness, replayed \
              through the classifier.")
   in
-  let algo_name =
-    Arg.(value & opt (some string) None
-         & info [ "a"; "algorithm" ] ~doc:"Catalogue algorithm to synthesize for.")
-  in
-  let spec_file =
-    Arg.(value & opt (some file) None
-         & info [ "spec" ] ~docv:"FILE" ~doc:"A .dfr spec to synthesize for.")
-  in
   let random_n =
     Arg.(value & opt (some int) None
          & info [ "random" ] ~docv:"N"
              ~doc:
                "Run on $(docv) random multi-wait designs from the fuzz \
                 generator (deliverable draws only).")
-  in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ]
-             ~doc:
-               "Seed for --random; the whole run is a pure function of \
-                (seed, N, max-nodes), independent of --domains.")
   in
   let max_nodes =
     Arg.(value & opt int 6
@@ -1409,27 +1256,12 @@ let synth_cmd =
     Arg.(value & opt int 4000
          & info [ "budget" ] ~doc:"Search budget in BWG rebuilds.")
   in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:
-               "Per-candidate BWG build parallelism; outcomes are \
-                bit-for-bit independent of it.")
-  in
   let minimize =
     Arg.(value & flag
          & info [ "minimize" ]
              ~doc:
                "Greedily restore removals that turn out unnecessary (mode \
                 bwg; repair and optimal always minimize).")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the result as JSON.")
-  in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Write the synthesized .dfr spec to $(docv).")
   in
   Cmd.v
     (Cmd.info "synth"
@@ -1451,14 +1283,14 @@ let synth_cmd =
              \  dfcheck spec check fixed.dfr";
          ])
     Term.(
-      const synth_run $ mode $ algo_name $ spec_file $ random_n $ seed $ max_nodes
-      $ budget $ domains $ minimize $ json $ output $ trace_arg $ metrics_arg)
+      const synth_run $ mode $ sources_arg ~topology:false $ random_n $ seed_arg
+      $ max_nodes $ budget $ domains_arg $ minimize $ json_arg $ output_arg $ obs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the batched NDJSON checking service                          *)
 
 let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
-    sessions trace metrics =
+    sessions obs =
   if
     workers < 1 || queue < 1 || domains < 0 || cache < 0 || cache_entry_bytes < 0
     || timeout_ms < 0 || sessions < 0
@@ -1468,8 +1300,8 @@ let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
        --cache-entry-bytes, --timeout-ms and --sessions must be >= 0";
     2
   end
-  else begin
-    obs_setup ~trace ~metrics;
+  else
+    with_obs obs @@ fun () ->
     let engine =
       Engine.create
         { Engine.workers; capacity = queue; cache_capacity = cache;
@@ -1482,12 +1314,10 @@ let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
     in
     Engine.shutdown engine;
     (* stdout is the protocol stream, so metrics go to stderr here *)
-    if metrics then
+    if obs.metrics then
       Printf.eprintf "metrics:\n%s\n%!"
         (Dfr_util.Json.to_string_pretty (Obs.metrics_json ()));
-    obs_teardown ~trace;
     code
-  end
 
 let serve_cmd =
   let port =
@@ -1552,45 +1382,24 @@ let serve_cmd =
           re-checking the same spec (or a named problem equal to it) is \
           answered without recomputation.")
     Term.(const serve_run $ port $ workers $ queue $ cache $ cache_entry_bytes
-          $ timeout_ms $ domains $ sessions $ trace_arg $ metrics_arg)
+          $ timeout_ms $ domains $ sessions $ obs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* client: one-shot scripting client for a TCP serve instance          *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let client_run op port spec algo topo ms raw =
+let client_run op port sources ms raw =
   let module J = Dfr_util.Json in
   let request =
     match op with
-    | `Ping | `Catalogue | `Stats | `Shutdown ->
-      let name =
-        match op with
-        | `Ping -> "ping"
-        | `Catalogue -> "catalogue"
-        | `Stats -> "stats"
-        | _ -> "shutdown"
-      in
-      Ok (J.Obj [ ("op", J.String name) ])
-    | `Sleep -> Ok (J.Obj [ ("op", J.String "sleep"); ("ms", J.Int ms) ])
-    | `Check -> (
-      match (spec, algo) with
-      | Some file, None -> (
-        match read_file file with
-        | text -> Ok (J.Obj [ ("op", J.String "check"); ("spec", J.String text) ])
-        | exception Sys_error msg -> Error msg)
-      | None, Some a ->
-        let base = [ ("op", J.String "check"); ("algo", J.String a) ] in
-        Ok
-          (J.Obj
-             (match topo with
-             | Some t -> base @ [ ("topology", J.String t) ]
-             | None -> base))
+    | "check" -> (
+      match sources with
+      | [ source ] ->
+        Result.map
+          (fun fields -> J.Obj (("op", J.String op) :: fields))
+          (Problem.to_json source)
       | _ -> Error "op `check' needs exactly one of --spec FILE or -a NAME")
+    | "sleep" -> Ok (J.Obj [ ("op", J.String op); ("ms", J.Int ms) ])
+    | _ -> Ok (J.Obj [ ("op", J.String op) ])
   in
   match request with
   | Error msg ->
@@ -1631,35 +1440,19 @@ let client_run op port spec algo topo ms raw =
 
 let client_cmd =
   let op =
-    let ops =
-      [ ("ping", `Ping); ("catalogue", `Catalogue); ("stats", `Stats);
-        ("check", `Check); ("sleep", `Sleep); ("shutdown", `Shutdown) ]
-    in
-    Arg.(required & pos 0 (some (enum ops)) None
+    let ops = [ "ping"; "catalogue"; "stats"; "check"; "sleep"; "shutdown" ] in
+    Arg.(required & pos 0 (some (enum (List.map (fun o -> (o, o)) ops))) None
          & info [] ~docv:"OP"
              ~doc:
                "Operation: $(b,ping), $(b,catalogue), $(b,stats), \
-                $(b,check), $(b,sleep) or $(b,shutdown).")
+                $(b,check), $(b,sleep) or $(b,shutdown); $(b,check) sends \
+                the problem named by $(b,-a) (and $(b,-t)) or the text of \
+                the $(b,--spec) file.")
   in
   let port =
     Arg.(required & opt (some int) None
          & info [ "port" ] ~docv:"PORT"
              ~doc:"Port of the serve instance on 127.0.0.1.")
-  in
-  let spec =
-    Arg.(value & opt (some file) None
-         & info [ "spec" ] ~docv:"FILE"
-             ~doc:"For $(b,check): send this .dfr file's text.")
-  in
-  let algo =
-    Arg.(value & opt (some string) None
-         & info [ "a"; "algorithm" ]
-             ~doc:"For $(b,check): name a catalogue algorithm instead.")
-  in
-  let topo =
-    Arg.(value & opt (some string) None
-         & info [ "t"; "topology" ]
-             ~doc:"For $(b,check) with -a: topology string, e.g. hypercube:3.")
   in
   let ms =
     Arg.(value & opt int 100
@@ -1676,7 +1469,7 @@ let client_cmd =
          "Send one request to a `dfcheck serve --port' instance and print the \
           response.  A served check exits with the verdict's usual code \
           (0 free, 1 deadlock, 3 unknown); protocol errors exit 2.")
-    Term.(const client_run $ op $ port $ spec $ algo $ topo $ ms $ raw)
+    Term.(const client_run $ op $ port $ sources_arg ~topology:true $ ms $ raw)
 
 (* ------------------------------------------------------------------ *)
 

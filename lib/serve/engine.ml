@@ -1,6 +1,6 @@
 open Dfr_util
-open Dfr_routing
 open Dfr_core
+module Problem = Dfr_spec.Problem
 module Obs = Dfr_obs.Obs
 
 type config = {
@@ -128,22 +128,30 @@ let deadline_of t =
    cross-surface sharing for that request. *)
 let digest_fallback tag = Digest.to_hex (Digest.string ("fallback:" ^ tag))
 
-let digest_of_spec (spec : Dfr_spec.Spec.t) ~source =
-  match Dfr_spec.Printer.digest spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo with
-  | Ok d -> d
-  | Error _ -> digest_fallback ("spec:" ^ source)
+let digest_of t (source : Problem.source) (p : Problem.t) =
+  let compute tag name =
+    match Dfr_spec.Printer.digest p.Problem.net p.Problem.algo with
+    | Ok d -> d
+    | Error _ -> digest_fallback (tag ^ name)
+  in
+  match source with
+  (* requests carry spec text; a path only ever names a local file *)
+  | Problem.Spec_text text | Problem.Spec_file text -> compute "spec:" text
+  | Problem.Named { algo; topology } -> (
+    let key = algo ^ "@" ^ Option.value topology ~default:"" in
+    match Hashtbl.find_opt t.named_digests key with
+    | Some d -> d
+    | None ->
+      let d = compute "registry:" key in
+      Hashtbl.add t.named_digests key d;
+      d)
 
-let digest_of_named t ~key net algo =
-  match Hashtbl.find_opt t.named_digests key with
-  | Some d -> d
-  | None ->
-    let d =
-      match Dfr_spec.Printer.digest net algo with
-      | Ok d -> d
-      | Error _ -> digest_fallback ("registry:" ^ key)
-    in
-    Hashtbl.add t.named_digests key d;
-    d
+let problem_error ~id e =
+  Obs.count "serve.errors" 1;
+  let kind =
+    match e with Problem.Spec_error _ -> "spec" | Problem.Bad_request _ -> "bad_request"
+  in
+  Protocol.error_response ~id ~kind (Problem.message e)
 
 let submit_check t ~id ~digest net algo =
   match Cache.find t.cache digest with
@@ -192,14 +200,11 @@ let submit_check t ~id ~digest net algo =
    costly, but it seeds the session later deltas reuse. *)
 let check_delta t ~id ~base ~spec =
   Obs.span "serve.check_delta" @@ fun () ->
-  match Dfr_spec.Spec.compile_string spec with
-  | Error e ->
-    Obs.count "serve.errors" 1;
-    Protocol.error_response ~id ~kind:"spec" (Dfr_spec.Spec.error_to_string e)
-  | Ok compiled -> (
-    let digest = digest_of_spec compiled ~source:spec in
-    let net = compiled.Dfr_spec.Spec.net in
-    let algo = compiled.Dfr_spec.Spec.algo in
+  let source = Problem.Spec_text spec in
+  match Problem.resolve source with
+  | Error e -> problem_error ~id e
+  | Ok ({ Problem.net; algo; spec = Some compiled; _ } as p) -> (
+    let digest = digest_of t source p in
     let validated = compiled.Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec in
     let answer ~mode (res : Incr.result) =
       (* the delta verdict is the cold verdict, so plain checks of the
@@ -250,40 +255,17 @@ let check_delta t ~id ~base ~spec =
             ~mode:(match res.Incr.path with Incr.Fast -> "fast" | Incr.Replay -> "replay")
             res))
     | _ -> cold ())
+  | Ok { Problem.spec = None; _ } -> assert false (* spec sources carry their spec *)
 
 (* Fault campaigns run synchronously on the orchestrator, like the delta
    path: the campaign drives its own incremental session, which must not
    be shared with a worker.  The response embeds the campaign envelope
    verbatim — byte-identical at any worker/domain configuration. *)
-let scenario t ~id ~spec ~algo ~topology ~plan ~sweep =
+let scenario t ~id ~source ~plan ~sweep =
   Obs.span "serve.scenario" @@ fun () ->
-  let instance =
-    match (spec, algo) with
-    | Some spec, _ -> (
-      match Dfr_spec.Spec.compile_string spec with
-      | Error e -> Error ("spec", Dfr_spec.Spec.error_to_string e)
-      | Ok c -> Ok (c.Dfr_spec.Spec.net, c.Dfr_spec.Spec.algo))
-    | None, Some name -> (
-      match Registry.find name with
-      | None -> Error ("bad_request", Printf.sprintf "unknown algorithm %S" name)
-      | Some e -> (
-        match
-          match topology with
-          | None -> Ok None
-          | Some s -> Result.map Option.some (Dfr_topology.Topology.of_string s)
-        with
-        | Error msg -> Error ("bad_request", msg)
-        | Ok topo -> (
-          match Registry.network_for e topo with
-          | exception Invalid_argument msg -> Error ("bad_request", msg)
-          | net -> Ok (net, e.Registry.algo))))
-    | None, None -> Error ("bad_request", "scenario needs a spec or an algo")
-  in
-  match instance with
-  | Error (kind, msg) ->
-    Obs.count "serve.errors" 1;
-    Protocol.error_response ~id ~kind msg
-  | Ok (net, algo) -> (
+  match Problem.resolve source with
+  | Error e -> problem_error ~id e
+  | Ok { Problem.net; algo; _ } -> (
     match Dfr_scenario.Fault.parse plan with
     | Error msg ->
       Obs.count "serve.errors" 1;
@@ -336,47 +318,19 @@ let dispatch t ~id (req : Protocol.request) =
     | Some promise ->
       gauge_depth t;
       Waiting { digest = None; promise; deadline = deadline_of t; cached = false })
-  | Protocol.Check_named { algo; topology } -> (
-    match Registry.find algo with
-    | None ->
-      ready
-        (Protocol.error_response ~id ~kind:"bad_request"
-           (Printf.sprintf "unknown algorithm %S; try op \"catalogue\"" algo))
-    | Some e -> (
-      let topo_result =
-        match topology with
-        | None -> Ok None
-        | Some s -> (
-          match Dfr_topology.Topology.of_string s with
-          | Ok topo -> Ok (Some topo)
-          | Error msg -> Error msg)
-      in
-      match topo_result with
-      | Error msg -> ready (Protocol.error_response ~id ~kind:"bad_request" msg)
-      | Ok topo -> (
-        let key = algo ^ "@" ^ Option.value topology ~default:"" in
-        (* the digest reprints the routing relation, so an algorithm that
-           rejects the network (hop-class on a mesh too wide for its
-           classes) raises here, before any check is queued *)
-        match
-          let net = Registry.network_for e topo in
-          (net, digest_of_named t ~key net e.Registry.algo)
-        with
-        | exception Invalid_argument msg ->
-          ready (Protocol.error_response ~id ~kind:"bad_request" msg)
-        | net, digest -> submit_check t ~id ~digest net e.Registry.algo)))
+  | Protocol.Check source -> (
+    match Problem.resolve source with
+    | Error e -> ready (problem_error ~id e)
+    | Ok p -> (
+      (* the digest reprints the routing relation, so an algorithm that
+         rejects the network (hop-class on a mesh too wide for its
+         classes) raises here, before any check is queued *)
+      match digest_of t source p with
+      | exception Invalid_argument msg -> ready (problem_error ~id (Problem.Bad_request msg))
+      | digest -> submit_check t ~id ~digest p.Problem.net p.Problem.algo))
   | Protocol.Check_delta { base; spec } -> ready (check_delta t ~id ~base ~spec)
-  | Protocol.Scenario { spec; algo; topology; plan; sweep } ->
-    ready (scenario t ~id ~spec ~algo ~topology ~plan ~sweep)
-  | Protocol.Check_spec { spec } -> (
-    match Dfr_spec.Spec.compile_string spec with
-    | Error e ->
-      ready
-        (Protocol.error_response ~id ~kind:"spec" (Dfr_spec.Spec.error_to_string e))
-    | Ok compiled ->
-      let digest = digest_of_spec compiled ~source:spec in
-      submit_check t ~id ~digest
-        compiled.Dfr_spec.Spec.net compiled.Dfr_spec.Spec.algo)
+  | Protocol.Scenario { source; plan; sweep } ->
+    ready (scenario t ~id ~source ~plan ~sweep)
 
 let handle_line t line =
   Obs.span "serve.request" @@ fun () ->

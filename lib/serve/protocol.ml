@@ -1,18 +1,12 @@
 open Dfr_util
 open Dfr_topology
 open Dfr_routing
+module Problem = Dfr_spec.Problem
 
 type request =
-  | Check_spec of { spec : string }
-  | Check_named of { algo : string; topology : string option }
+  | Check of Problem.source
   | Check_delta of { base : string; spec : string }
-  | Scenario of {
-      spec : string option;
-      algo : string option;
-      topology : string option;
-      plan : string;
-      sweep : bool;
-    }
+  | Scenario of { source : Problem.source; plan : string; sweep : bool }
   | Catalogue
   | Stats
   | Ping
@@ -29,19 +23,16 @@ let parse line =
   | Ok doc -> (
     let id = Json.member "id" doc in
     let err msg = Error (id, msg) in
+    let with_problem op k =
+      match Problem.of_json doc with
+      | Some source -> k source
+      | None -> err (Printf.sprintf "op %S needs a \"spec\" or an \"algo\" field" op)
+    in
     match doc with
     | Json.Obj _ -> (
       match Option.bind (Json.member "op" doc) Json.to_str with
       | None -> err "missing or non-string \"op\""
-      | Some "check" -> (
-        match Option.bind (Json.member "spec" doc) Json.to_str with
-        | Some spec -> Ok { id; req = Check_spec { spec } }
-        | None -> (
-          match Option.bind (Json.member "algo" doc) Json.to_str with
-          | Some algo ->
-            let topology = Option.bind (Json.member "topology" doc) Json.to_str in
-            Ok { id; req = Check_named { algo; topology } }
-          | None -> err "op \"check\" needs a \"spec\" or an \"algo\" field"))
+      | Some "check" -> with_problem "check" (fun source -> Ok { id; req = Check source })
       | Some "check_delta" -> (
         match
           ( Option.bind (Json.member "base" doc) Json.to_str,
@@ -63,14 +54,9 @@ let parse line =
           in
           match sweep with
           | Error msg -> err msg
-          | Ok sweep -> (
-            let spec = Option.bind (Json.member "spec" doc) Json.to_str in
-            let algo = Option.bind (Json.member "algo" doc) Json.to_str in
-            let topology = Option.bind (Json.member "topology" doc) Json.to_str in
-            match (spec, algo) with
-            | None, None ->
-              err "op \"scenario\" needs a \"spec\" or an \"algo\" field"
-            | _ -> Ok { id; req = Scenario { spec; algo; topology; plan; sweep } })))
+          | Ok sweep ->
+            with_problem "scenario" (fun source ->
+                Ok { id; req = Scenario { source; plan; sweep } })))
       | Some "catalogue" -> Ok { id; req = Catalogue }
       | Some "stats" -> Ok { id; req = Stats }
       | Some "ping" -> Ok { id; req = Ping }

@@ -22,17 +22,16 @@
 open Dfr_util
 
 type request =
-  | Check_spec of { spec : string }  (** inline .dfr source *)
-  | Check_named of { algo : string; topology : string option }
-      (** a registry algorithm, optionally on an explicit topology *)
+  | Check of Dfr_spec.Problem.source
+      (** inline .dfr source, or a registry algorithm optionally on an
+          explicit topology ({!Dfr_spec.Problem.of_json}: a ["spec"] field
+          wins over ["algo"]) *)
   | Check_delta of { base : string; spec : string }
       (** re-check an edited spec against the incremental session for
           [base] (the digest a previous check/check_delta response
           reported); falls back to a cold build on a session miss *)
   | Scenario of {
-      spec : string option;  (** inline .dfr source, or... *)
-      algo : string option;  (** ...a registry algorithm *)
-      topology : string option;
+      source : Dfr_spec.Problem.source;  (** read as for [Check] *)
       plan : string;  (** inline fault-plan text ({!Dfr_scenario.Fault}) *)
       sweep : bool;  (** ["mode"]: [true] = "sweep" (default), "sequence" *)
     }  (** run a fault campaign; the response's ["campaign"] field is the

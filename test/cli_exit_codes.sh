@@ -43,6 +43,13 @@ expect 2 spec check /dev/null
 # an algorithm that rejects the topology it is given: hop-class's seven
 # buffer classes do not exceed the 5x5 mesh's diameter of 8
 expect 2 check -a hop-class -t mesh:5x5
+# the same rejection through bwg and simulate: one error line, not a crash
+expect 2 bwg -a hop-class -t mesh:5x5
+expect 2 simulate -a ecube -t mesh:3x3
+# the matrix marks a rejecting row n/a and computes the others
+expect 0 matrix -t mesh:3x3
+# --domains is a positive count on every checking subcommand
+expect 2 check -a efa --domains 0
 
 # hotspot nodes are range-checked before injection: a negative or
 # too-large node is a usage error, never a wild array index
@@ -52,6 +59,7 @@ expect 0 simulate -a ecube -t hypercube:2 -p hotspot:0 --horizon 50
 
 # differential fuzzing: a clean head disagrees with itself nowhere -> 0
 expect 0 fuzz --trials 10 --seed 7 --max-nodes 6
+expect 2 fuzz --trials 1 --domains 0
 
 # the serve/client surface
 expect 0 list --json

@@ -146,6 +146,25 @@ let test_protocol_parse () =
     check Alcotest.bool "names the missing fields" true
       (String.length msg > 0)
   | _ -> Alcotest.fail "check without spec/algo accepted");
+  (* a request naming both a spec and an algorithm checks the spec *)
+  (match Protocol.parse "{\"op\":\"check\",\"algo\":\"efa\",\"spec\":\"x\"}" with
+  | Ok { Protocol.req = Protocol.Check (Dfr_spec.Problem.Spec_text "x"); _ } -> ()
+  | _ -> Alcotest.fail "check: spec must win over algo");
+  (match
+     Protocol.parse
+       "{\"op\":\"scenario\",\"plan\":\"\",\"algo\":\"efa\",\"spec\":\"x\"}"
+   with
+  | Ok
+      {
+        Protocol.req =
+          Protocol.Scenario { source = Dfr_spec.Problem.Spec_text "x"; sweep = true; _ };
+        _;
+      } ->
+    ()
+  | _ -> Alcotest.fail "scenario: spec must win over algo");
+  (match Protocol.parse "{\"op\":\"scenario\",\"plan\":\"\"}" with
+  | Error (None, _) -> ()
+  | _ -> Alcotest.fail "scenario without spec/algo accepted");
   (match Protocol.parse "[1,2]" with
   | Error (None, _) -> ()
   | _ -> Alcotest.fail "non-object accepted");
@@ -311,6 +330,10 @@ let test_engine_coalescing () =
       | _ -> Alcotest.fail "two responses expected")
 
 let test_engine_malformed_isolated () =
+  let scenario fields =
+    J.to_string
+      (J.Obj ((("op", J.String "scenario") :: fields) @ [ ("plan", J.String "seed 1\n") ]))
+  in
   with_engine (fun e ->
       match
         run_seq e
@@ -323,9 +346,14 @@ let test_engine_malformed_isolated () =
                the route function raises while the request is digested *)
             named "hop-class" "mesh:5x5";
             "{\"op\":\"ping\",\"id\":10}";
+            (* check and scenario resolve their problem alike *)
+            scenario [ ("algo", J.String "no-such-algorithm") ];
+            named "efa" "bogus:3";
+            scenario [ ("algo", J.String "efa"); ("topology", J.String "bogus:3") ];
+            scenario [ ("spec", J.String "network bad {") ];
           ]
       with
-      | [ r1; r2; r3; r4; r5; r6 ] ->
+      | [ r1; r2; r3; r4; r5; r6; s4; c_topo; s_topo; s3 ] ->
         check Alcotest.string "garbage -> parse" "parse" (error_kind r1);
         check Alcotest.string "unknown op -> parse" "parse" (error_kind r2);
         check Alcotest.string "id recovered" "9" (J.to_string (member "id" r2));
@@ -334,8 +362,17 @@ let test_engine_malformed_isolated () =
           (error_kind r4);
         check Alcotest.string "rejected topology -> bad_request" "bad_request"
           (error_kind r5);
-        check Alcotest.bool "server survives it all" true (is_ok r6)
-      | _ -> Alcotest.fail "six responses expected")
+        check Alcotest.bool "server survives it all" true (is_ok r6);
+        check Alcotest.string "bad topology -> bad_request" "bad_request"
+          (error_kind c_topo);
+        List.iter
+          (fun (what, c, s) ->
+            check Alcotest.string (what ^ ": same error from check and scenario")
+              (J.to_string (member "error" c))
+              (J.to_string (member "error" s)))
+          [ ("unknown algorithm", r4, s4); ("bad topology", c_topo, s_topo);
+            ("bad spec", r3, s3) ]
+      | _ -> Alcotest.fail "ten responses expected")
 
 let test_engine_queue_full () =
   let config =

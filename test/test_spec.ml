@@ -219,6 +219,58 @@ let test_error_lexer_position () =
   check Alcotest.int "line" 2 e.Spec.pos.Ast.line;
   check Alcotest.int "col" 9 e.Spec.pos.Ast.col
 
+(* The one resolver behind every CLI subcommand and serve op that takes
+   a problem: its error texts are what every surface prints. *)
+let test_problem_resolver () =
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let error source =
+    match Problem.resolve source with
+    | Ok _ -> Alcotest.fail "expected a resolution error"
+    | Error e -> e
+  in
+  (match error (Problem.Named { algo = "no-such-algorithm"; topology = None }) with
+  | Problem.Bad_request msg ->
+    check Alcotest.bool "names the unknown algorithm" true
+      (contains msg "\"no-such-algorithm\"");
+    List.iter
+      (fun name ->
+        check Alcotest.bool ("lists " ^ name) true (contains msg name))
+      (Registry.names ())
+  | Problem.Spec_error _ -> Alcotest.fail "unknown name is not a spec error");
+  (match error (Problem.Named { algo = "efa"; topology = Some "bogus:3" }) with
+  | Problem.Bad_request msg ->
+    check Alcotest.bool "gives the topology grammar" true
+      (contains msg Dfr_topology.Topology.grammar_summary)
+  | Problem.Spec_error _ -> Alcotest.fail "bad topology is not a spec error");
+  let missing = spec_path "no-such-spec.dfr" in
+  (match error (Problem.Spec_file missing) with
+  | Problem.Spec_error msg ->
+    check Alcotest.bool "names the file" true
+      (String.length msg > String.length missing
+      && String.sub msg 0 (String.length missing) = missing)
+  | Problem.Bad_request _ -> Alcotest.fail "unreadable spec is a spec error");
+  (match Problem.resolve (Problem.Named { algo = "efa"; topology = Some "hypercube:2" }) with
+  | Ok p ->
+    check Alcotest.string "registry name" "efa" p.Problem.name;
+    check Alcotest.string "network" "wormhole(hypercube-2,2vc)" (Net.name p.Problem.net)
+  | Error e -> Alcotest.fail (Problem.message e));
+  (* a request naming both: the spec wins, as it always has on serve *)
+  let text = In_channel.with_open_bin (spec_path "updown.dfr") In_channel.input_all in
+  let both =
+    Dfr_util.Json.Obj
+      [ ("algo", Dfr_util.Json.String "efa"); ("spec", Dfr_util.Json.String text) ]
+  in
+  (match Problem.of_json both with
+  | Some (Problem.Spec_text t) -> check Alcotest.string "spec text kept" text t
+  | _ -> Alcotest.fail "spec must win over algo");
+  match Problem.of_json (Dfr_util.Json.Obj []) with
+  | None -> ()
+  | Some _ -> Alcotest.fail "no problem named"
+
 let suite =
   [
     Alcotest.test_case "incoherent bit-for-bit" `Quick test_incoherent_bit_for_bit;
@@ -240,4 +292,5 @@ let suite =
     Alcotest.test_case "error: unreachable destination" `Quick
       test_error_unreachable_destination;
     Alcotest.test_case "error: lexer position" `Quick test_error_lexer_position;
+    Alcotest.test_case "problem resolver" `Quick test_problem_resolver;
   ]
